@@ -28,14 +28,10 @@ from .geometry import (
     init_gld,
     normalize,
 )
-from .decoder import DecoderGradients, DecoderParams, init_params
+from .decoder import DecoderParams, init_params
 from .loss import (
     LossBreakdown,
-    NnIndex,
-    chamfer,
     groupwise_chamfer,
-    loss_gradients,
-    nearest,
     normalized_cd,
     regularized_loss,
 )
@@ -80,7 +76,6 @@ __version__ = "0.1.0"
 __all__ = [
     "AdamState",
     "AlignmentResult",
-    "DecoderGradients",
     "DecoderParams",
     "DegenerateSetError",
     "DriftField",
@@ -95,7 +90,6 @@ __all__ = [
     "LossBreakdown",
     "ManifestGroup",
     "MixedDimensionalityError",
-    "NnIndex",
     "NoiseSpec",
     "NonFiniteError",
     "OptimConfig",
@@ -114,7 +108,6 @@ __all__ = [
     "apply_drift",
     "apply_noise",
     "blob_shape",
-    "chamfer",
     "converged",
     "fish_shape",
     "fit_tps",
@@ -122,10 +115,8 @@ __all__ = [
     "init_gld",
     "init_params",
     "load_groups",
-    "loss_gradients",
     "lr_at",
     "make_group",
-    "nearest",
     "normalize",
     "normalized_cd",
     "random_tps_warp",

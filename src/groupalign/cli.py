@@ -6,6 +6,7 @@ library or I/O error prints a diagnostic to stderr and exits 1.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 import time
@@ -33,20 +34,7 @@ from .shapes import blob_shape, fish_shape
 from .svgplot import render_svg
 from .synthesis import NoiseSpec, apply_noise, make_group
 
-CONFIG_KEYS = (
-    "max_steps",
-    "lr_start",
-    "lr_end",
-    "lr_decay_steps",
-    "reg_lambda",
-    "latent_dim",
-    "hidden",
-    "seed",
-    "convergence_rel_tol",
-    "convergence_window",
-    "share_decoder",
-    "workers",
-)
+CONFIG_KEYS = tuple(f.name for f in dataclasses.fields(OptimConfig))
 
 
 def _cmd_synth(args) -> int:

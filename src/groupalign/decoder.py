@@ -58,22 +58,6 @@ class DecoderParams:
         return self.layers[-1][0].shape[0]
 
 
-@dataclass(frozen=True, eq=False)
-class DecoderGradients:
-    """Gradients matching DecoderParams.layers plus the latent gradient."""
-
-    d_layers: tuple[Layer, ...]
-    d_latent: np.ndarray
-
-
-@dataclass(frozen=True, eq=False)
-class ForwardCache:
-    """Activations saved by a forward pass: acts[0] is the input block."""
-
-    acts: tuple[np.ndarray, ...]
-    coord_width: int
-
-
 def init_params(
     dim: int, latent_dim: int, hidden: Sequence[int], seed: int
 ) -> DecoderParams:
@@ -138,7 +122,10 @@ def run_layers_backward(
     return d_layers, d_latent
 
 
-def _stack_inputs(params: DecoderParams, z: GroupLatentDescriptor, ps: PointSet):
+def forward(
+    params: DecoderParams, z: GroupLatentDescriptor, ps: PointSet
+) -> DriftField:
+    """Decode one drift vector per point from [coords, latent]."""
     if ps.dim + z.latent_dim != params.in_width:
         raise ShapeMismatchError(
             f"decoder expects {params.in_width} inputs per point, got "
@@ -151,46 +138,5 @@ def _stack_inputs(params: DecoderParams, z: GroupLatentDescriptor, ps: PointSet)
     inputs = np.empty((len(ps), params.in_width))
     inputs[:, : ps.dim] = ps.points
     inputs[:, ps.dim :] = z.values
-    return inputs
-
-
-def forward(
-    params: DecoderParams, z: GroupLatentDescriptor, ps: PointSet
-) -> DriftField:
-    """Decode one drift vector per point from [coords, latent]."""
-    drifts, _ = run_layers(params.layers, _stack_inputs(params, z, ps))
+    drifts, _ = run_layers(params.layers, inputs)
     return DriftField(drifts)
-
-
-def forward_cached(
-    params: DecoderParams, z: GroupLatentDescriptor, ps: PointSet
-) -> tuple[DriftField, ForwardCache]:
-    """Forward pass that also returns activations for a later backward."""
-    inputs = _stack_inputs(params, z, ps)
-    drifts, acts = run_layers(params.layers, inputs)
-    return DriftField(drifts), ForwardCache(acts, ps.dim)
-
-
-def backward(
-    params: DecoderParams,
-    z: GroupLatentDescriptor,
-    ps: PointSet,
-    upstream: DriftField | np.ndarray,
-    cache: ForwardCache | None = None,
-) -> DecoderGradients:
-    """Backpropagate drift-space gradients to weights, biases, and latent.
-
-    Recomputes the forward activations when no cache is supplied.
-    """
-    up = upstream.drifts if isinstance(upstream, DriftField) else np.asarray(upstream)
-    if up.shape != (len(ps), ps.dim):
-        raise ShapeMismatchError(
-            f"upstream gradient shape {up.shape} does not match ({len(ps)}, {ps.dim})"
-        )
-    if cache is None:
-        inputs = _stack_inputs(params, z, ps)
-        _, acts = run_layers(params.layers, inputs)
-    else:
-        acts = cache.acts
-    d_layers, d_latent = run_layers_backward(params.layers, acts, up, ps.dim)
-    return DecoderGradients(tuple(d_layers), d_latent)

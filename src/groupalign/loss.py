@@ -4,8 +4,9 @@ The alignment term sums, over every ordered pair of sets, the squared
 distance from each point to its nearest neighbor in the other set (so each
 unordered pair is counted twice). Gradients treat the nearest-neighbor
 assignment as fixed, which is exact wherever the assignment is locally
-stable. The regularizer is the plain sum of per-point drift norms, with
-subgradient zero at zero drift.
+stable. One kernel, ``alignment_terms``, computes every Chamfer value and
+gradient in the package. The regularizer is the plain sum of per-point
+drift norms, with subgradient zero at zero drift.
 """
 from __future__ import annotations
 
@@ -17,61 +18,6 @@ from scipy.spatial import cKDTree
 
 from .errors import EmptySetError, ShapeMismatchError, TooFewSetsError
 from .geometry import DriftField, PointSet, apply_drift
-
-
-class NnIndex:
-    """Exact nearest-neighbor index (KD-tree) over one point set."""
-
-    def __init__(self, points: PointSet | np.ndarray):
-        arr = points.points if isinstance(points, PointSet) else np.asarray(points, float)
-        if arr.ndim != 2:
-            raise ShapeMismatchError(f"expected (N, dim) points, got shape {arr.shape}")
-        if arr.shape[0] == 0:
-            raise EmptySetError("cannot index an empty point set")
-        self.points = arr
-        self._tree = cKDTree(arr)
-
-    @property
-    def dim(self) -> int:
-        return self.points.shape[1]
-
-    def __len__(self) -> int:
-        return self.points.shape[0]
-
-
-def nearest(index: NnIndex, query: np.ndarray) -> tuple[int, float]:
-    """Index and squared distance of the nearest stored point.
-
-    Exact ties resolve to the lowest index.
-    """
-    q = np.asarray(query, dtype=np.float64)
-    if q.shape != (index.dim,):
-        raise ShapeMismatchError(
-            f"query shape {q.shape} does not match index dim {index.dim}"
-        )
-    dist, _ = index._tree.query(q)
-    candidates = index._tree.query_ball_point(q, dist * (1.0 + 1e-9))
-    delta = index.points[candidates] - q
-    sq = (delta * delta).sum(axis=1)
-    best = sq.min()
-    idx = min(c for c, s in zip(candidates, sq) if s == best)
-    return int(idx), float(best)
-
-
-def _one_sided_sq(tree: cKDTree, queries: np.ndarray) -> float:
-    dist, _ = tree.query(queries, k=1)
-    return float(dist @ dist)
-
-
-def chamfer(x: PointSet, y: PointSet) -> float:
-    """Symmetric sum of squared nearest-neighbor distances between two sets."""
-    if x.dim != y.dim:
-        raise ShapeMismatchError(f"sets mix dimensionalities: {x.dim} vs {y.dim}")
-    if len(x) == 0 or len(y) == 0:
-        raise EmptySetError("chamfer distance needs non-empty sets")
-    return _one_sided_sq(cKDTree(y.points), x.points) + _one_sided_sq(
-        cKDTree(x.points), y.points
-    )
 
 
 def _as_arrays(sets: Sequence[PointSet]) -> list[np.ndarray]:
@@ -87,20 +33,13 @@ def _as_arrays(sets: Sequence[PointSet]) -> list[np.ndarray]:
 
 def groupwise_chamfer(sets: Sequence[PointSet]) -> float:
     """Sum of pairwise Chamfer distances over all ordered pairs of sets."""
-    arrays = _as_arrays(sets)
-    k = len(arrays)
-    trees = [cKDTree(a) for a in arrays]
-    one_sided = np.zeros((k, k))
-    for i in range(k):
-        for j in range(k):
-            if i != j:
-                one_sided[i, j] = _one_sided_sq(trees[j], arrays[i])
-    total = 0.0
-    for i in range(k):
-        for j in range(k):
-            if i != j:
-                total += one_sided[i, j] + one_sided[j, i]
-    return total
+    return alignment_terms(_as_arrays(sets))[0]
+
+
+def _per_pair_point(total: float, sets: Sequence) -> float:
+    k = len(sets)
+    mean_n = float(np.mean([len(s) for s in sets]))
+    return total / (k * (k - 1) * mean_n)
 
 
 def normalized_cd(sets: Sequence[PointSet]) -> float:
@@ -109,10 +48,7 @@ def normalized_cd(sets: Sequence[PointSet]) -> float:
     A size-insensitive figure for comparing runs with different group
     sizes and cardinalities.
     """
-    arrays = _as_arrays(sets)
-    k = len(arrays)
-    mean_n = float(np.mean([a.shape[0] for a in arrays]))
-    return groupwise_chamfer(sets) / (k * (k - 1) * mean_n)
+    return _per_pair_point(groupwise_chamfer(sets), sets)
 
 
 @dataclass(frozen=True)
@@ -126,31 +62,38 @@ class LossBreakdown:
     normalized_cd: float
 
 
+def _nearest(target: np.ndarray, queries: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Distance to, and row index of, each query row's exact nearest
+    neighbor among the target rows."""
+    return cKDTree(target).query(queries, k=1)
+
+
 def alignment_terms(arrays: Sequence[np.ndarray]) -> tuple[float, list[np.ndarray]]:
     """Groupwise alignment value and its gradient per point array.
 
-    Each one-sided squared-distance sum enters the ordered-pair total
-    twice; gradients flow both to the query point and to the matched
-    neighbor, with the match held fixed.
+    One KD-tree per target member answers the points of all other members
+    in a single query. Each one-sided squared-distance sum enters the
+    ordered-pair total twice; gradients flow both to the query point and
+    to the matched neighbor, with the match held fixed.
     """
-    k = len(arrays)
-    trees = [cKDTree(a) for a in arrays]
-    grads = [np.zeros_like(a) for a in arrays]
+    stacked = np.concatenate(arrays)
+    bounds = np.cumsum([0] + [a.shape[0] for a in arrays])
+    dim = stacked.shape[1]
+    grad = np.zeros_like(stacked)
     total = 0.0
-    for i in range(k):
-        for j in range(k):
-            if i == j:
-                continue
-            dist, idx = trees[j].query(arrays[i], k=1)
-            diff = arrays[i] - arrays[j][idx]
-            total += 2.0 * float(dist @ dist)
-            grads[i] += 4.0 * diff
-            n_j = arrays[j].shape[0]
-            for c in range(diff.shape[1]):
-                grads[j][:, c] -= 4.0 * np.bincount(
-                    idx, weights=diff[:, c], minlength=n_j
-                )
-    return total, grads
+    for target, lo, hi in zip(arrays, bounds[:-1], bounds[1:]):
+        queries = np.concatenate((stacked[:lo], stacked[hi:]))
+        dist, idx = _nearest(target, queries)
+        total += 2.0 * float(dist @ dist)
+        diff = 4.0 * (queries - target[idx])
+        grad[:lo] += diff[:lo]
+        grad[hi:] += diff[lo:]
+        # One flattened bincount scatters every coordinate onto the target.
+        slots = (idx[:, None] * dim + np.arange(dim)).ravel()
+        grad[lo:hi] -= np.bincount(
+            slots, weights=diff.ravel(), minlength=target.size
+        ).reshape(target.shape)
+    return total, np.split(grad, bounds[1:-1])
 
 
 def drift_penalty(drifts: np.ndarray) -> tuple[float, np.ndarray]:
@@ -184,32 +127,10 @@ def regularized_loss(
     _check_pairing(sets, drifts)
     transformed = [apply_drift(s, d) for s, d in zip(sets, drifts)]
     alignment = groupwise_chamfer(transformed)
-    regularizer = float(
-        sum(np.sqrt((d.drifts * d.drifts).sum(axis=1)).sum() for d in drifts)
-    )
-    k = len(sets)
-    mean_n = float(np.mean([len(s) for s in sets]))
+    regularizer = float(sum(drift_penalty(d.drifts)[0] for d in drifts))
     return LossBreakdown(
         alignment=alignment,
         regularizer=regularizer,
         total=alignment + reg_lambda * regularizer,
-        normalized_cd=alignment / (k * (k - 1) * mean_n),
+        normalized_cd=_per_pair_point(alignment, sets),
     )
-
-
-def loss_gradients(
-    sets: Sequence[PointSet], drifts: Sequence[DriftField], reg_lambda: float
-) -> list[np.ndarray]:
-    """Gradient of the regularized loss with respect to each drift vector.
-
-    Nearest neighbors are held fixed at their current assignment.
-    """
-    if reg_lambda < 0.0:
-        raise ValueError(f"reg_lambda must be >= 0, got {reg_lambda}")
-    _check_pairing(sets, drifts)
-    transformed = _as_arrays([apply_drift(s, d) for s, d in zip(sets, drifts)])
-    _, grads = alignment_terms(transformed)
-    for g, d in zip(grads, drifts):
-        _, unit = drift_penalty(d.drifts)
-        g += reg_lambda * unit
-    return grads

@@ -117,20 +117,30 @@ def read_manifest(path: str | Path) -> GroupManifest:
     if not isinstance(payload, dict):
         raise ParseError("manifest must be a JSON object", path=path)
     try:
-        dim = int(payload["dim"])
+        dim = payload["dim"]
         raw_groups = payload["groups"]
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ParseError(f"missing or malformed field: {exc}", path=path) from exc
-    if dim not in VALID_DIMS:
-        raise ParseError(f"dim must be 2 or 3, got {dim}", path=path)
+    except KeyError as exc:
+        raise ParseError(f"missing field: {exc}", path=path) from exc
+    if not isinstance(dim, int) or dim not in VALID_DIMS:
+        raise ParseError(f"dim must be the integer 2 or 3, got {dim!r}", path=path)
+    if not isinstance(raw_groups, list) or not raw_groups:
+        raise ParseError("groups must be a non-empty list", path=path)
     base = path.resolve().parent
     groups = []
+    seen: set[str] = set()
     for entry in raw_groups:
         try:
             gid = str(entry["id"])
             members = [base / m for m in entry["members"]]
         except (KeyError, TypeError) as exc:
             raise ParseError(f"malformed group entry: {exc}", path=path) from exc
+        # Ids name output files, so they must stay inside the output folder
+        # and must not collide.
+        if not gid or "/" in gid or "\\" in gid or ".." in gid:
+            raise ParseError(f"group id {gid!r} is empty or path-like", path=path)
+        if gid in seen:
+            raise ParseError(f"group id {gid!r} appears twice", path=path)
+        seen.add(gid)
         if len(members) < 2:
             raise TooFewSetsError(
                 f"group {gid!r} lists {len(members)} members, need at least 2"

@@ -14,9 +14,9 @@ import pytest
 
 import oracle
 from groupalign.cli import main
-from groupalign.decoder import backward, forward, init_params
+from groupalign.decoder import init_params, run_layers, run_layers_backward
 from groupalign.geometry import Group, PointSet, init_gld
-from groupalign.loss import NnIndex, chamfer, groupwise_chamfer, loss_gradients, nearest
+from groupalign.loss import _nearest, alignment_terms, drift_penalty, groupwise_chamfer
 from groupalign.optimizer import OptimConfig, align
 from groupalign.pointio import read_manifest
 from groupalign.shapes import blob_shape, fish_shape
@@ -87,28 +87,30 @@ def test_c01_analytic_gradients_match_finite_differences():
         params = init_params(2, 8, (16, 8), seed=attempt)
         zs = [init_gld(8, seed=3 * attempt + m) for m in range(3)]
         arrays = [a for layer in params.layers for a in layer]
+        # Rows stacked member after member, one latent per row segment,
+        # as the optimizer lays out a scope.
         stacked = [
             np.hstack([s.points, np.broadcast_to(z.values, (len(s), 8))])
             for s, z in zip(sets, zs)
         ]
-        drifts = [forward(params, z, s) for z, s in zip(zs, sets)]
-        moved = [s.points + d.drifts for s, d in zip(sets, drifts)]
-        if _nn_margin(moved) < 3e-3:
+        segments = [slice(10 * m, 10 * (m + 1)) for m in range(3)]
+        coords = np.vstack([s.points for s in sets])
+        drifts, acts = run_layers(params.layers, np.vstack(stacked))
+        moved = coords + drifts
+        if _nn_margin([moved[seg] for seg in segments]) < 3e-3:
             continue
-        if min(np.linalg.norm(d.drifts, axis=1).min() for d in drifts) < 3e-3:
+        if np.linalg.norm(drifts, axis=1).min() < 3e-3:
             continue
         if min(_relu_margin(arrays, inp) for inp in stacked) < 1e-3:
             continue
 
-        ups = loss_gradients(sets, drifts, lam)
-        acc = [np.zeros_like(a) for a in arrays]
-        z_grads = []
-        for z, s, up in zip(zs, sets, ups):
-            g = backward(params, z, s, up)
-            for li, (dw, db) in enumerate(g.d_layers):
-                acc[2 * li] += dw
-                acc[2 * li + 1] += db
-            z_grads.append(g.d_latent)
+        _, align_grads = alignment_terms([moved[seg] for seg in segments])
+        upstream = np.vstack(align_grads) + lam * drift_penalty(drifts)[1]
+        d_layers, d_latents = run_layers_backward(
+            params.layers, acts, upstream, 2, segments=segments
+        )
+        acc = [a for pair in d_layers for a in pair]
+        z_grads = list(d_latents)
 
         def objective(perturbed, slot):
             swapped = arrays + [z.values for z in zs]
@@ -147,12 +149,11 @@ def test_c02_neighbor_lookups_match_exhaustive_scan():
         points = rng.uniform(-1.0, 1.0, (1000, dim))
         queries = rng.uniform(-1.0, 1.0, (1000, dim))
         ref_idx, ref_sq = oracle.brute_nearest_all(points, queries)
-        index = NnIndex(points)
         t0 = time.perf_counter()
-        got = [nearest(index, q) for q in queries]
+        dist, idx = _nearest(points, queries)
         wall += time.perf_counter() - t0
-        for (gi, gsq), ri, rsq in zip(got, ref_idx, ref_sq):
-            if gi != int(ri) or abs(gsq - rsq) > 1e-12 * rsq:
+        for gi, gd, ri, rsq in zip(idx, dist, ref_idx, ref_sq):
+            if gi != ri or abs(gd * gd - rsq) > 1e-12 * rsq:
                 mismatches += 1
     _verdict(
         "neighbor lookup",
@@ -171,12 +172,15 @@ def test_c03_chamfer_matches_double_loop():
             PointSet(rng.normal(size=(int(rng.integers(5, 16)), dim)))
             for _ in range(k)
         ]
-        pair = chamfer(sets[0], sets[1])
+        # the groupwise value of a pair counts its symmetric Chamfer twice
+        pair = groupwise_chamfer(sets[:2]) / 2.0
         pair_slow = oracle.chamfer_slow(sets[0].points, sets[1].points)
         gw = groupwise_chamfer(sets)
         gw_slow = oracle.groupwise_slow([s.points for s in sets])
         unordered = sum(
-            chamfer(a, b) for i, a in enumerate(sets) for b in sets[i + 1 :]
+            groupwise_chamfer([a, b]) / 2.0
+            for i, a in enumerate(sets)
+            for b in sets[i + 1 :]
         )
         worst = max(
             worst,

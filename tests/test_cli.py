@@ -1,10 +1,12 @@
 import csv
+import dataclasses
 import json
 
 import numpy as np
 import pytest
 
-from groupalign.cli import main
+from groupalign.cli import _load_config, build_parser, main
+from groupalign.optimizer import OptimConfig
 from groupalign.pointio import read_manifest, read_point_set
 
 
@@ -205,6 +207,19 @@ class TestAlign:
         assert "error:" in err
         assert "momentum" in err
 
+    def test_every_config_field_is_a_config_key(self, tmp_path):
+        defaults = OptimConfig()
+        values = {
+            f.name: getattr(defaults, f.name) for f in dataclasses.fields(OptimConfig)
+        }
+        values["hidden"] = list(values["hidden"])
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(values))
+        args = build_parser().parse_args(
+            ["align", "--manifest", "m.json", "--out", "o", "--config", str(cfg)]
+        )
+        assert dataclasses.asdict(_load_config(args)) == dataclasses.asdict(defaults)
+
     def test_per_group_decoder_flag(self, tmp_path, capsys):
         manifest_path = _synth(tmp_path, groups=2, k=2)
         out = tmp_path / "aligned"
@@ -294,3 +309,54 @@ class TestErrorPaths:
         )
         capsys.readouterr()
         assert rc == 1
+
+
+class TestManifestValidation:
+    """A malformed manifest exits 1 before anything is written."""
+
+    def _run(self, tmp_path, capsys, payload, command="align"):
+        rng = np.random.default_rng(50)
+        (tmp_path / "p.txt").write_text(
+            "\n".join(f"{x} {y}" for x, y in rng.normal(size=(6, 2)))
+        )
+        manifest = tmp_path / "data" / "manifest.json"
+        manifest.parent.mkdir()
+        manifest.write_text(json.dumps(payload))
+        before = sorted(tmp_path.rglob("*"))
+        argv = [command, "--manifest", str(manifest)]
+        if command == "align":
+            argv += ["--out", str(tmp_path / "data" / "out")] + FAST_ALIGN
+        rc = main(argv)
+        captured = capsys.readouterr()
+        assert rc == 1
+        assert captured.err.startswith("error:")
+        assert sorted(tmp_path.rglob("*")) == before
+        return captured
+
+    @staticmethod
+    def _group(gid):
+        return {"id": gid, "members": ["../p.txt", "../p.txt"]}
+
+    def test_non_integer_dim(self, tmp_path, capsys):
+        payload = {"dim": 2.5, "groups": [self._group("g")]}
+        err = self._run(tmp_path, capsys, payload).err
+        assert "dim" in err
+
+    def test_empty_group_list(self, tmp_path, capsys):
+        out = self._run(tmp_path, capsys, {"dim": 2, "groups": []}, command="eval").out
+        assert "mean" not in out
+
+    def test_path_like_group_id(self, tmp_path, capsys):
+        groups = [self._group("../escaped"), self._group("../escaped")]
+        self._run(tmp_path, capsys, {"dim": 2, "groups": groups})
+        assert not (tmp_path / "data" / "escaped_m00.txt").exists()
+
+    @pytest.mark.parametrize("gid", ["", "a/b", "a\\b", ".."])
+    def test_other_path_like_group_ids(self, tmp_path, capsys, gid):
+        groups = [self._group(gid), self._group("ok")]
+        self._run(tmp_path, capsys, {"dim": 2, "groups": groups})
+
+    def test_duplicate_group_ids(self, tmp_path, capsys):
+        groups = [self._group("g"), self._group("g")]
+        err = self._run(tmp_path, capsys, {"dim": 2, "groups": groups}).err
+        assert "twice" in err

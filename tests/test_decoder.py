@@ -3,9 +3,7 @@ import pytest
 
 from groupalign.decoder import (
     DecoderParams,
-    backward,
     forward,
-    forward_cached,
     init_params,
     run_layers,
     run_layers_backward,
@@ -144,40 +142,16 @@ def test_public_forward_hand_case():
     np.testing.assert_allclose(field.drifts, [[2.6, -2.35]], atol=1e-15)
 
 
-def test_forward_cached_matches_forward():
-    params = init_params(2, 6, (8, 5), seed=2)
-    z = GroupLatentDescriptor(np.random.default_rng(3).normal(0, 0.1, 6))
-    ps = PointSet(np.random.default_rng(4).normal(size=(9, 2)))
-    plain = forward(params, z, ps)
-    cached, cache = forward_cached(params, z, ps)
-    np.testing.assert_array_equal(plain.drifts, cached.drifts)
-    assert cache.coord_width == 2
-    np.testing.assert_array_equal(cache.acts[0][:, :2], ps.points)
-
-
-def test_backward_with_and_without_cache_agree():
-    params = init_params(2, 6, (8, 5), seed=5)
-    z = GroupLatentDescriptor(np.random.default_rng(6).normal(0, 0.1, 6))
-    ps = PointSet(np.random.default_rng(7).normal(size=(9, 2)))
-    upstream = np.random.default_rng(8).normal(size=(9, 2))
-    _, cache = forward_cached(params, z, ps)
-    with_cache = backward(params, z, ps, upstream, cache)
-    without = backward(params, z, ps, upstream)
-    np.testing.assert_array_equal(with_cache.d_latent, without.d_latent)
-    for (wa, ba), (wb, bb) in zip(with_cache.d_layers, without.d_layers):
-        np.testing.assert_array_equal(wa, wb)
-        np.testing.assert_array_equal(ba, bb)
-
-
 def test_backward_linear_in_upstream():
     params = init_params(2, 4, (6,), seed=9)
-    z = GroupLatentDescriptor(np.random.default_rng(10).normal(0, 0.1, 4))
-    ps = PointSet(np.random.default_rng(11).normal(size=(5, 2)))
+    z_vals = np.random.default_rng(10).normal(0, 0.1, 4)
+    pts = np.random.default_rng(11).normal(size=(5, 2))
     up = np.random.default_rng(12).normal(size=(5, 2))
-    g1 = backward(params, z, ps, up)
-    g2 = backward(params, z, ps, 2.0 * up)
-    np.testing.assert_allclose(g2.d_latent, 2.0 * g1.d_latent, rtol=1e-12)
-    for (w1, b1), (w2, b2) in zip(g1.d_layers, g2.d_layers):
+    _, acts = run_layers(params.layers, np.hstack([pts, np.tile(z_vals, (5, 1))]))
+    layers1, latent1 = run_layers_backward(params.layers, acts, up, coord_width=2)
+    layers2, latent2 = run_layers_backward(params.layers, acts, 2.0 * up, coord_width=2)
+    np.testing.assert_allclose(latent2, 2.0 * latent1, rtol=1e-12)
+    for (w1, b1), (w2, b2) in zip(layers1, layers2):
         np.testing.assert_allclose(w2, 2.0 * w1, rtol=1e-12)
         np.testing.assert_allclose(b2, 2.0 * b1, rtol=1e-12)
 
@@ -219,13 +193,14 @@ def test_gradients_match_finite_differences():
         pts = rng.uniform(-1, 1, (7, 2))
         upstream = rng.normal(size=(7, 2))
 
-        z = GroupLatentDescriptor(z_vals)
-        ps = PointSet(pts)
         inputs = np.hstack([pts, np.tile(z_vals, (7, 1))])
         if _min_hidden_preactivation(params, inputs) < 1e-3:
             continue
 
-        grads = backward(params, z, ps, upstream)
+        _, acts = run_layers(params.layers, inputs)
+        d_layers, d_latent = run_layers_backward(
+            params.layers, acts, upstream, coord_width=2
+        )
 
         def objective(layers, latent):
             stacked = np.hstack([pts, np.tile(latent, (7, 1))])
@@ -245,14 +220,14 @@ def test_gradients_match_finite_differences():
                     return objective([tuple(l) for l in trial], z_vals)
 
                 fd = central_difference(f, base, h)
-                analytic = grads.d_layers[li][pi]
+                analytic = d_layers[li][pi]
                 denom = np.maximum(np.abs(fd), 1e-6)
                 worst = max(worst, (np.abs(fd - analytic) / denom).max())
         fd_z = central_difference(
             lambda latent: objective(params.layers, latent), z_vals, h
         )
         denom = np.maximum(np.abs(fd_z), 1e-6)
-        worst = max(worst, (np.abs(fd_z - grads.d_latent) / denom).max())
+        worst = max(worst, (np.abs(fd_z - d_latent) / denom).max())
 
         assert worst < 1e-4, f"seed {seed}: rel err {worst:.3g}"
         checked += 1
@@ -271,5 +246,3 @@ def test_shape_mismatch_errors():
         forward(params, z_bad, ps2)
     with pytest.raises(ShapeMismatchError):
         forward(params, z_ok, ps3)
-    with pytest.raises(ShapeMismatchError):
-        backward(params, z_ok, ps2, np.zeros((4, 2)))

@@ -4,13 +4,10 @@ import pytest
 from groupalign.errors import EmptySetError, ShapeMismatchError, TooFewSetsError
 from groupalign.geometry import DriftField, PointSet
 from groupalign.loss import (
-    NnIndex,
+    _nearest,
     alignment_terms,
-    chamfer,
     drift_penalty,
     groupwise_chamfer,
-    loss_gradients,
-    nearest,
     normalized_cd,
     regularized_loss,
 )
@@ -23,67 +20,67 @@ from oracle import (
 )
 
 
-class TestNearest:
-    def test_simple_query(self):
-        index = NnIndex(np.array([[0.0, 0.0], [3.0, 4.0]]))
-        idx, sq = nearest(index, np.array([3.0, 3.0]))
-        assert idx == 1
-        assert sq == 1.0
+def _pair(a, b):
+    """Symmetric Chamfer of one pair: the groupwise value counts it twice."""
+    return groupwise_chamfer([a, b]) / 2.0
 
-    def test_tie_resolves_to_lowest_index(self):
-        # (0,0), (2,0) and (1,1) are all at squared distance 1 from (1,0)
-        index = NnIndex(np.array([[2.0, 0.0], [0.0, 0.0], [1.0, 1.0]]))
-        idx, sq = nearest(index, np.array([1.0, 0.0]))
-        assert idx == 0
-        assert sq == 1.0
+
+class TestNearest:
+    """The batched KD-tree query the loss kernel makes per target member."""
+
+    def test_simple_query(self):
+        points = np.array([[0.0, 0.0], [3.0, 4.0]])
+        dist, idx = _nearest(points, np.array([[3.0, 3.0]]))
+        assert idx.tolist() == [1]
+        assert dist.tolist() == [1.0]
 
     def test_accepts_pointset(self):
-        idx, sq = nearest(NnIndex(PointSet([[5.0, 5.0]])), np.array([5.0, 6.0]))
-        assert (idx, sq) == (0, 1.0)
+        # one point at squared distance 1, counted in both directions, twice
+        sets = [PointSet([[5.0, 5.0]]), PointSet([[5.0, 6.0]])]
+        assert groupwise_chamfer(sets) == 4.0
 
     @pytest.mark.parametrize("dim", [2, 3])
     def test_matches_linear_scan(self, dim):
         rng = np.random.default_rng(21 + dim)
         points = rng.uniform(-1, 1, (200, dim))
-        index = NnIndex(points)
-        for q in rng.uniform(-1, 1, (100, dim)):
-            idx, sq = nearest(index, q)
+        queries = rng.uniform(-1, 1, (100, dim))
+        dist, idx = _nearest(points, queries)
+        for q, got_idx, got_dist in zip(queries, idx, dist):
             ref_idx, ref_sq = nearest_slow(points, q)
-            assert idx == ref_idx
-            assert sq == pytest.approx(ref_sq, rel=1e-12)
+            assert got_idx == ref_idx
+            assert got_dist**2 == pytest.approx(ref_sq, rel=1e-12)
 
     def test_empty_and_mismatch(self):
         with pytest.raises(EmptySetError):
-            NnIndex(np.empty((0, 2)))
-        index = NnIndex(np.zeros((3, 2)))
+            normalized_cd([PointSet(np.empty((0, 2))), PointSet([[0.0, 0.0]])])
         with pytest.raises(ShapeMismatchError):
-            nearest(index, np.zeros(3))
+            normalized_cd([PointSet(np.zeros((3, 2))), PointSet(np.zeros((3, 3)))])
 
 
 class TestChamfer:
     def test_singletons(self):
         a = PointSet([[0.0, 0.0]])
         b = PointSet([[3.0, 4.0]])
-        assert chamfer(a, b) == 50.0
+        assert _pair(a, b) == 50.0
 
     def test_asymmetric_cardinalities(self):
         a = PointSet([[0.0, 0.0], [1.0, 0.0]])
         b = PointSet([[0.0, 0.0]])
         # forward: 0 + 1, backward: 0
-        assert chamfer(a, b) == 1.0
+        assert _pair(a, b) == 1.0
 
     def test_symmetry(self):
         rng = np.random.default_rng(31)
         a = PointSet(rng.normal(size=(17, 3)))
         b = PointSet(rng.normal(size=(23, 3)))
-        assert chamfer(a, b) == chamfer(b, a)
+        assert _pair(a, b) == _pair(b, a)
 
     def test_permutation_invariance(self):
         rng = np.random.default_rng(32)
         pts_a = rng.normal(size=(12, 2))
         pts_b = rng.normal(size=(9, 2))
-        base = chamfer(PointSet(pts_a), PointSet(pts_b))
-        shuffled = chamfer(
+        base = _pair(PointSet(pts_a), PointSet(pts_b))
+        shuffled = _pair(
             PointSet(pts_a[rng.permutation(12)]),
             PointSet(pts_b[rng.permutation(9)]),
         )
@@ -91,7 +88,7 @@ class TestChamfer:
 
     def test_zero_for_identical_sets(self):
         pts = np.random.default_rng(33).normal(size=(25, 2))
-        assert chamfer(PointSet(pts), PointSet(pts)) == 0.0
+        assert _pair(PointSet(pts), PointSet(pts)) == 0.0
 
     def test_against_double_loop(self):
         rng = np.random.default_rng(34)
@@ -99,14 +96,14 @@ class TestChamfer:
             dim = int(rng.integers(2, 4))
             a = rng.normal(size=(int(rng.integers(1, 30)), dim))
             b = rng.normal(size=(int(rng.integers(1, 30)), dim))
-            got = chamfer(PointSet(a), PointSet(b))
+            got = _pair(PointSet(a), PointSet(b))
             assert got == pytest.approx(chamfer_slow(a, b), rel=1e-12)
 
     def test_errors(self):
         with pytest.raises(ShapeMismatchError):
-            chamfer(PointSet([[0.0, 0.0]]), PointSet([[0.0, 0.0, 0.0]]))
+            _pair(PointSet([[0.0, 0.0]]), PointSet([[0.0, 0.0, 0.0]]))
         with pytest.raises(EmptySetError):
-            chamfer(PointSet(np.empty((0, 2))), PointSet([[0.0, 0.0]]))
+            _pair(PointSet(np.empty((0, 2))), PointSet([[0.0, 0.0]]))
 
 
 class TestGroupwise:
@@ -119,7 +116,7 @@ class TestGroupwise:
         rng = np.random.default_rng(35)
         sets = [PointSet(rng.normal(size=(14, 2))) for _ in range(4)]
         unordered = sum(
-            chamfer(sets[i], sets[j])
+            _pair(sets[i], sets[j])
             for i in range(4)
             for j in range(i + 1, 4)
         )
@@ -196,8 +193,7 @@ class TestGradients:
     def test_two_singletons_by_hand(self):
         """Total is 4 |a-b|^2, so the gradient at a is 8 (a-b)."""
         sets = [PointSet([[0.0, 0.0]]), PointSet([[3.0, 4.0]])]
-        drifts = [DriftField([[0.0, 0.0]]), DriftField([[0.0, 0.0]])]
-        grads = loss_gradients(sets, drifts, 0.0)
+        _, grads = alignment_terms([s.points for s in sets])
         np.testing.assert_allclose(grads[0], [[-24.0, -32.0]], atol=1e-12)
         np.testing.assert_allclose(grads[1], [[24.0, 32.0]], atol=1e-12)
 
@@ -245,8 +241,10 @@ class TestGradients:
             if min(np.linalg.norm(d, axis=1).min() for d in drift_arrays) < 3e-3:
                 continue
             lam = 0.3
-            drifts = [DriftField(d) for d in drift_arrays]
-            analytic = loss_gradients(sets, drifts, lam)
+            _, align_grads = alignment_terms(moved)
+            analytic = [
+                g + lam * drift_penalty(d)[1] for g, d in zip(align_grads, drift_arrays)
+            ]
 
             flat = np.concatenate([d.ravel() for d in drift_arrays])
             sizes = [d.size for d in drift_arrays]
