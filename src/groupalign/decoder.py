@@ -1,10 +1,10 @@
 """Drift decoder: a small ReLU MLP with hand-written forward/backward.
 
-Each point's drift is decoded independently from the concatenation of its
-coordinates and the group's latent vector. Hidden layers use ReLU; the
-final layer is affine so drifts can take either sign. Gradients are
-propagated to the weights, biases, and the latent vector, but not to the
-input coordinates.
+Each point's drift is decoded from [coordinates, group latent]. Layer 0 is
+affine, so the latent acts as one bias per group, W0[:, dim:] @ z + b0, and
+the concatenated rows are never built. Hidden layers use ReLU; the final
+layer is affine so drifts can take either sign. Gradients reach the
+weights, biases and latents, but not the input coordinates.
 """
 from __future__ import annotations
 
@@ -77,49 +77,55 @@ def init_params(
 
 
 def run_layers(
-    layers: Sequence[Layer], inputs: np.ndarray
+    layers: Sequence[Layer],
+    coords: np.ndarray,
+    latents: np.ndarray,
+    starts: Sequence[int],
 ) -> tuple[np.ndarray, tuple[np.ndarray, ...]]:
-    """Array-level forward pass; returns (outputs, activation stack)."""
-    acts = [inputs]
-    h = inputs
-    for weight, bias in layers[:-1]:
-        h = np.maximum(h @ weight.T + bias, 0.0)
+    """Array-level forward pass; returns (outputs, activation stack).
+
+    Segment g, rows starts[g] up to the next start, decodes with latents[g];
+    starts begin at 0 and strictly increase."""
+    weight, bias = layers[0]
+    dim = coords.shape[1]
+    counts = np.diff(starts, append=coords.shape[0])
+    segment_bias = latents @ weight[:, dim:].T + bias
+    h = coords @ weight[:, :dim].T + np.repeat(segment_bias, counts, axis=0)
+    acts = [coords]
+    for weight, bias in layers[1:]:
+        h = np.maximum(h, 0.0)
         acts.append(h)
-    weight, bias = layers[-1]
-    return h @ weight.T + bias, tuple(acts)
+        h = h @ weight.T + bias
+    return h, tuple(acts)
 
 
 def run_layers_backward(
     layers: Sequence[Layer],
     acts: Sequence[np.ndarray],
     upstream: np.ndarray,
-    coord_width: int,
-    segments: Sequence[slice] | None = None,
+    latents: np.ndarray,
+    starts: Sequence[int],
 ) -> tuple[list[Layer], np.ndarray]:
     """Array-level backward pass for sum(upstream * outputs).
 
-    Returns per-layer (dW, db) and the latent gradient: per-point latent
-    contributions are summed over all rows, or per segment when row
-    segments are given (one latent vector per segment).
+    Returns per-layer (dW, db) and one latent gradient row per segment.
     """
     grad = np.asarray(upstream, dtype=np.float64)
     d_layers: list[Layer] = []
-    for i in range(len(layers) - 1, -1, -1):
+    for i in range(len(layers) - 1, 0, -1):
         weight, _ = layers[i]
         h_prev = acts[i]
         d_layers.append((grad.T @ h_prev, grad.sum(axis=0)))
-        if i > 0:
-            # h_prev is a ReLU output, so (h_prev > 0) recovers its mask.
-            grad = (grad @ weight) * (h_prev > 0.0)
-        else:
-            grad = grad @ weight
+        # h_prev is a ReLU output, so (h_prev > 0) recovers its mask.
+        grad = (grad @ weight) * (h_prev > 0.0)
+    # Layer 0 sees each segment's latent as a constant input, so its rows'
+    # gradients enter the latent terms only through their per-segment sums.
+    coords = acts[0]
+    seg_grad = np.add.reduceat(grad, starts, axis=0)
+    d_weight = np.hstack([grad.T @ coords, seg_grad.T @ latents])
+    d_layers.append((d_weight, seg_grad.sum(axis=0)))
     d_layers.reverse()
-    d_latent_rows = grad[:, coord_width:]
-    if segments is None:
-        d_latent = d_latent_rows.sum(axis=0)
-    else:
-        d_latent = np.stack([d_latent_rows[s].sum(axis=0) for s in segments])
-    return d_layers, d_latent
+    return d_layers, seg_grad @ layers[0][0][:, coords.shape[1] :]
 
 
 def forward(
@@ -135,8 +141,5 @@ def forward(
         raise ShapeMismatchError(
             f"decoder produces {params.out_width}D drifts for a {ps.dim}D point set"
         )
-    inputs = np.empty((len(ps), params.in_width))
-    inputs[:, : ps.dim] = ps.points
-    inputs[:, ps.dim :] = z.values
-    drifts, _ = run_layers(params.layers, inputs)
+    drifts, _ = run_layers(params.layers, ps.points, z.values[None, :], [0])
     return DriftField(drifts)

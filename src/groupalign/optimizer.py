@@ -19,7 +19,7 @@ import numpy as np
 
 from . import decoder as dec
 from . import loss as losses
-from .errors import NonFiniteError, ShapeMismatchError, TooFewSetsError
+from .errors import EmptySetError, NonFiniteError, ShapeMismatchError, TooFewSetsError
 from .geometry import (
     DriftField,
     Group,
@@ -30,6 +30,9 @@ from .geometry import (
 )
 
 
+BETA1, BETA2, EPSILON = 0.9, 0.999, 1e-8
+
+
 @dataclass(frozen=True, eq=False)
 class AdamState:
     """First/second moment accumulators and the step counter for one variable."""
@@ -37,9 +40,6 @@ class AdamState:
     first_moment: np.ndarray
     second_moment: np.ndarray
     step_count: int = 0
-    beta1: float = 0.9
-    beta2: float = 0.999
-    epsilon: float = 1e-8
 
     @classmethod
     def for_variable(cls, variable: np.ndarray) -> "AdamState":
@@ -61,11 +61,11 @@ def adam_step(
     if not np.isfinite(grad).all():
         raise NonFiniteError("gradient contains non-finite values")
     t = state.step_count + 1
-    m = state.beta1 * state.first_moment + (1.0 - state.beta1) * grad
-    v = state.beta2 * state.second_moment + (1.0 - state.beta2) * grad * grad
-    m_hat = m / (1.0 - state.beta1**t)
-    v_hat = v / (1.0 - state.beta2**t)
-    updated = var - lr * m_hat / (np.sqrt(v_hat) + state.epsilon)
+    m = BETA1 * state.first_moment + (1.0 - BETA1) * grad
+    v = BETA2 * state.second_moment + (1.0 - BETA2) * grad * grad
+    m_hat = m / (1.0 - BETA1**t)
+    v_hat = v / (1.0 - BETA2**t)
+    updated = var - lr * m_hat / (np.sqrt(v_hat) + EPSILON)
     return replace(state, first_moment=m, second_moment=v, step_count=t), updated
 
 
@@ -161,11 +161,7 @@ class AlignmentResult:
 
 
 def _layer_arrays(params: dec.DecoderParams) -> list[np.ndarray]:
-    out = []
-    for w, b in params.layers:
-        out.append(np.array(w))
-        out.append(np.array(b))
-    return out
+    return [np.array(a) for layer in params.layers for a in layer]
 
 
 def _as_layers(arrays: Sequence[np.ndarray]) -> list[dec.Layer]:
@@ -181,14 +177,12 @@ def _group_terms(member_views: list[np.ndarray], drift_rows: np.ndarray, lam: fl
     return align_val, reg_val, grad
 
 
-def _scope_seeds(cfg: OptimConfig, n_groups: int) -> tuple[list[int], list[int]]:
-    """Derive stable per-run seeds: one decoder seed per scope, one latent
-    seed per group, all from the single config seed."""
-    state = np.random.SeedSequence(int(cfg.seed)).generate_state(1 + 2 * n_groups)
-    theta_shared = int(state[0])
-    z_seeds = [int(s) for s in state[1 : 1 + n_groups]]
-    theta_per_group = [int(s) for s in state[1 + n_groups :]]
-    return [theta_shared] + theta_per_group, z_seeds
+def _scope_seeds(cfg: OptimConfig, n_groups: int) -> tuple[int, list[int]]:
+    """Derive stable seeds from the single config seed: the decoder seed,
+    then one latent seed per group. ``generate_state`` is prefix-stable, so
+    the first groups' seeds do not depend on how many groups follow."""
+    state = np.random.SeedSequence(int(cfg.seed)).generate_state(1 + n_groups)
+    return int(state[0]), [int(s) for s in state[1:]]
 
 
 def _align_scope(
@@ -201,7 +195,8 @@ def _align_scope(
     dim = groups[0].dim
     latent = cfg.latent_dim
 
-    # Row layout: members of each group stacked contiguously.
+    # Row layout: members of each group stacked contiguously; group g's
+    # rows start at starts[g] and are decoded with latents[g].
     coords = []
     group_slices: list[slice] = []
     member_slices: list[list[slice]] = []
@@ -216,17 +211,14 @@ def _align_scope(
         group_slices.append(slice(start, row))
         member_slices.append(slices)
     x_all = np.vstack(coords)
-    n_rows = x_all.shape[0]
+    starts = np.array([sl.start for sl in group_slices])
 
     params = dec.init_params(dim, latent, cfg.hidden, theta_seed)
     theta = _layer_arrays(params)
-    zs = [np.array(init_gld(latent, s).values) for s in z_seeds]
+    latents = np.stack([init_gld(latent, s).values for s in z_seeds])
 
     theta_states = [AdamState.for_variable(a) for a in theta]
-    z_states = [AdamState.for_variable(z) for z in zs]
-
-    inputs = np.empty((n_rows, dim + latent))
-    inputs[:, :dim] = x_all
+    z_states = [AdamState.for_variable(z) for z in latents]
 
     pool = ThreadPoolExecutor(cfg.workers) if cfg.workers > 1 else None
 
@@ -243,10 +235,8 @@ def _align_scope(
     early = False
     try:
         for step in range(cfg.max_steps):
-            for i, sl in enumerate(group_slices):
-                inputs[sl, dim:] = zs[i]
             layers = _as_layers(theta)
-            drifts, acts = dec.run_layers(layers, inputs)
+            drifts, acts = dec.run_layers(layers, x_all, latents, starts)
             transformed = x_all + drifts
 
             align_total = 0.0
@@ -265,7 +255,7 @@ def _align_scope(
             trace_rows.append((align_total, reg_total, total))
 
             d_layers, d_latents = dec.run_layers_backward(
-                layers, acts, grad_rows, dim, segments=group_slices
+                layers, acts, grad_rows, latents, starts
             )
             lr = lr_at(step, cfg)
             flat_grads = [a for pair in d_layers for a in pair]
@@ -273,8 +263,10 @@ def _align_scope(
                 theta_states[i], theta[i] = adam_step(
                     theta_states[i], theta[i], flat_grads[i], lr
                 )
-            for i in range(len(zs)):
-                z_states[i], zs[i] = adam_step(z_states[i], zs[i], d_latents[i], lr)
+            for i in range(len(latents)):
+                z_states[i], latents[i] = adam_step(
+                    z_states[i], latents[i], d_latents[i], lr
+                )
 
             if converged([r[2] for r in trace_rows], cfg):
                 early = True
@@ -286,7 +278,7 @@ def _align_scope(
     final_params = dec.DecoderParams(tuple(_as_layers(theta)))
     results = []
     for i, g in enumerate(groups):
-        z = GroupLatentDescriptor(zs[i])
+        z = GroupLatentDescriptor(latents[i])
         fields = [dec.forward(final_params, z, m) for m in g.members]
         moved = [apply_drift(m, f) for m, f in zip(g.members, fields)]
         breakdown = losses.regularized_loss(g.members, fields, cfg.reg_lambda)
@@ -320,13 +312,14 @@ def align(groups: Sequence[Group], cfg: OptimConfig | None = None) -> AlignmentR
     dims = {g.dim for g in groups}
     if len(dims) != 1:
         raise ShapeMismatchError(f"groups mix dimensionalities: {dims}")
+    for g in groups:
+        if any(len(m) == 0 for m in g.members):
+            raise EmptySetError(f"group {g.group_id!r} has an empty member")
 
-    theta_seeds, z_seeds = _scope_seeds(cfg, len(groups))
+    theta_seed, z_seeds = _scope_seeds(cfg, len(groups))
 
     if cfg.share_decoder:
-        results, params, trace, early = _align_scope(
-            groups, cfg, theta_seeds[0], z_seeds
-        )
+        results, params, trace, early = _align_scope(groups, cfg, theta_seed, z_seeds)
         return AlignmentResult(
             groups=tuple(results),
             decoder_params=params,
@@ -338,10 +331,10 @@ def align(groups: Sequence[Group], cfg: OptimConfig | None = None) -> AlignmentR
     per_group: list[GroupAlignment] = []
     traces: list[np.ndarray] = []
     all_early = True
-    for i, g in enumerate(groups):
-        results, params, trace, early = _align_scope(
-            [g], cfg, theta_seeds[1 + i], [z_seeds[i]]
-        )
+    for g in groups:
+        # The seeds of a one-group call, so each group aligns exactly as it
+        # would alone.
+        results, params, trace, early = _align_scope([g], cfg, theta_seed, z_seeds[:1])
         per_group.append(replace(results[0], decoder_params=params))
         traces.append(trace)
         all_early = all_early and early

@@ -146,7 +146,10 @@ def read_manifest(path: str | Path) -> GroupManifest:
                 f"group {gid!r} lists {len(members)} members, need at least 2"
             )
         groups.append(ManifestGroup(gid, members))
-    return GroupManifest(dim=dim, groups=groups, meta=payload.get("meta", {}))
+    meta = payload.get("meta", {})
+    if not isinstance(meta, dict):
+        raise ParseError(f"meta must be a JSON object, got {meta!r}", path=path)
+    return GroupManifest(dim=dim, groups=groups, meta=meta)
 
 
 def load_groups(manifest: GroupManifest) -> list[Group]:

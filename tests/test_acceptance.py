@@ -94,8 +94,10 @@ def test_c01_analytic_gradients_match_finite_differences():
             for s, z in zip(sets, zs)
         ]
         segments = [slice(10 * m, 10 * (m + 1)) for m in range(3)]
+        starts = [seg.start for seg in segments]
         coords = np.vstack([s.points for s in sets])
-        drifts, acts = run_layers(params.layers, np.vstack(stacked))
+        latents = np.stack([z.values for z in zs])
+        drifts, acts = run_layers(params.layers, coords, latents, starts)
         moved = coords + drifts
         if _nn_margin([moved[seg] for seg in segments]) < 3e-3:
             continue
@@ -107,7 +109,7 @@ def test_c01_analytic_gradients_match_finite_differences():
         _, align_grads = alignment_terms([moved[seg] for seg in segments])
         upstream = np.vstack(align_grads) + lam * drift_penalty(drifts)[1]
         d_layers, d_latents = run_layers_backward(
-            params.layers, acts, upstream, 2, segments=segments
+            params.layers, acts, upstream, latents, starts
         )
         acc = [a for pair in d_layers for a in pair]
         z_grads = list(d_latents)

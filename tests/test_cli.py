@@ -323,10 +323,12 @@ class TestManifestValidation:
         manifest.parent.mkdir()
         manifest.write_text(json.dumps(payload))
         before = sorted(tmp_path.rglob("*"))
-        argv = [command, "--manifest", str(manifest)]
-        if command == "align":
-            argv += ["--out", str(tmp_path / "data" / "out")] + FAST_ALIGN
-        rc = main(argv)
+        out = str(tmp_path / "data" / "out")
+        extra = {
+            "align": ["--out", out] + FAST_ALIGN,
+            "noise": ["--out", out, "--kind", "po", "--level", "0.2"],
+        }
+        rc = main([command, "--manifest", str(manifest)] + extra.get(command, []))
         captured = capsys.readouterr()
         assert rc == 1
         assert captured.err.startswith("error:")
@@ -360,3 +362,8 @@ class TestManifestValidation:
         groups = [self._group("g"), self._group("g")]
         err = self._run(tmp_path, capsys, {"dim": 2, "groups": groups}).err
         assert "twice" in err
+
+    def test_meta_not_an_object(self, tmp_path, capsys):
+        payload = {"dim": 2, "groups": [self._group("g")], "meta": 5}
+        err = self._run(tmp_path, capsys, payload, command="noise").err
+        assert "meta" in err

@@ -83,52 +83,53 @@ def test_zero_params_give_zero_drift():
 
 
 class TestHandComputedCore:
-    """One input width 2, one hidden unit, one output: every number checked
-    by hand. The array core is dimension-agnostic, so a width-1 coordinate
-    block is fine here even though the public API insists on 2D or 3D."""
+    """One coordinate, a width-1 latent, one hidden unit, one output: every
+    number checked by hand. The array core is dimension-agnostic, so a
+    width-1 coordinate block is fine here even though the public API
+    insists on 2D or 3D."""
 
     layers = (
         (np.array([[1.0, 1.0]]), np.array([0.0])),
         (np.array([[2.0]]), np.array([0.5])),
     )
+    coords = np.array([[0.3]])
+
+    def _run(self, latent):
+        return run_layers(self.layers, self.coords, np.array([[latent]]), [0])
+
+    def _backward(self, latent):
+        _, acts = self._run(latent)
+        return run_layers_backward(
+            self.layers, acts, np.array([[1.0]]), np.array([[latent]]), [0]
+        )
 
     def test_forward_active(self):
-        inputs = np.array([[0.3, -0.1]])  # relu(0.2) = 0.2, 2 * 0.2 + 0.5
-        out, acts = run_layers(self.layers, inputs)
+        out, acts = self._run(-0.1)  # relu(0.2) = 0.2, 2 * 0.2 + 0.5
         np.testing.assert_allclose(out, [[0.9]], atol=1e-15)
         assert len(acts) == 2
         np.testing.assert_allclose(acts[1], [[0.2]], atol=1e-15)
 
     def test_forward_dead_unit(self):
-        inputs = np.array([[0.3, -0.5]])  # relu(-0.2) = 0, output is the bias path
-        out, _ = run_layers(self.layers, inputs)
+        out, _ = self._run(-0.5)  # relu(-0.2) = 0, output is the bias path
         np.testing.assert_allclose(out, [[0.5]], atol=1e-15)
 
     def test_backward_active(self):
-        inputs = np.array([[0.3, -0.1]])
-        _, acts = run_layers(self.layers, inputs)
-        d_layers, d_latent = run_layers_backward(
-            self.layers, acts, np.array([[1.0]]), coord_width=1
-        )
+        d_layers, d_latent = self._backward(-0.1)
         (dw1, db1), (dw2, db2) = d_layers
         np.testing.assert_allclose(dw2, [[0.2]], atol=1e-15)
         np.testing.assert_allclose(db2, [1.0], atol=1e-15)
         np.testing.assert_allclose(dw1, [[0.6, -0.2]], atol=1e-15)
         np.testing.assert_allclose(db1, [2.0], atol=1e-15)
-        np.testing.assert_allclose(d_latent, [2.0], atol=1e-15)
+        np.testing.assert_allclose(d_latent, [[2.0]], atol=1e-15)
 
     def test_backward_dead_unit_blocks_gradient(self):
-        inputs = np.array([[0.3, -0.5]])
-        _, acts = run_layers(self.layers, inputs)
-        d_layers, d_latent = run_layers_backward(
-            self.layers, acts, np.array([[1.0]]), coord_width=1
-        )
+        d_layers, d_latent = self._backward(-0.5)
         (dw1, db1), (dw2, db2) = d_layers
         np.testing.assert_array_equal(dw2, [[0.0]])
         np.testing.assert_array_equal(db2, [1.0])
         np.testing.assert_array_equal(dw1, [[0.0, 0.0]])
         np.testing.assert_array_equal(db1, [0.0])
-        np.testing.assert_array_equal(d_latent, [0.0])
+        np.testing.assert_array_equal(d_latent, [[0.0]])
 
 
 def test_public_forward_hand_case():
@@ -147,9 +148,10 @@ def test_backward_linear_in_upstream():
     z_vals = np.random.default_rng(10).normal(0, 0.1, 4)
     pts = np.random.default_rng(11).normal(size=(5, 2))
     up = np.random.default_rng(12).normal(size=(5, 2))
-    _, acts = run_layers(params.layers, np.hstack([pts, np.tile(z_vals, (5, 1))]))
-    layers1, latent1 = run_layers_backward(params.layers, acts, up, coord_width=2)
-    layers2, latent2 = run_layers_backward(params.layers, acts, 2.0 * up, coord_width=2)
+    latents = z_vals[None, :]
+    _, acts = run_layers(params.layers, pts, latents, [0])
+    layers1, latent1 = run_layers_backward(params.layers, acts, up, latents, [0])
+    layers2, latent2 = run_layers_backward(params.layers, acts, 2.0 * up, latents, [0])
     np.testing.assert_allclose(latent2, 2.0 * latent1, rtol=1e-12)
     for (w1, b1), (w2, b2) in zip(layers1, layers2):
         np.testing.assert_allclose(w2, 2.0 * w1, rtol=1e-12)
@@ -197,14 +199,13 @@ def test_gradients_match_finite_differences():
         if _min_hidden_preactivation(params, inputs) < 1e-3:
             continue
 
-        _, acts = run_layers(params.layers, inputs)
-        d_layers, d_latent = run_layers_backward(
-            params.layers, acts, upstream, coord_width=2
+        _, acts = run_layers(params.layers, pts, z_vals[None, :], [0])
+        d_layers, d_latents = run_layers_backward(
+            params.layers, acts, upstream, z_vals[None, :], [0]
         )
 
         def objective(layers, latent):
-            stacked = np.hstack([pts, np.tile(latent, (7, 1))])
-            out, _ = run_layers(layers, stacked)
+            out, _ = run_layers(layers, pts, latent[None, :], [0])
             return float((upstream * out).sum())
 
         h = 1e-6
@@ -227,13 +228,59 @@ def test_gradients_match_finite_differences():
             lambda latent: objective(params.layers, latent), z_vals, h
         )
         denom = np.maximum(np.abs(fd_z), 1e-6)
-        worst = max(worst, (np.abs(fd_z - d_latent) / denom).max())
+        worst = max(worst, (np.abs(fd_z - d_latents[0]) / denom).max())
 
         assert worst < 1e-4, f"seed {seed}: rel err {worst:.3g}"
         checked += 1
         if checked == 5:
             break
     assert checked == 5
+
+
+def _concatenated_reference(layers, coords, latents, counts, upstream):
+    """Forward and backward on explicit [coords, latent] rows, the layout
+    of the paper, with each latent row copied onto its segment's rows."""
+    inputs = np.hstack([coords, np.repeat(latents, counts, axis=0)])
+    acts = [inputs]
+    for w, b in layers[:-1]:
+        acts.append(np.maximum(acts[-1] @ w.T + b, 0.0))
+    out = acts[-1] @ layers[-1][0].T + layers[-1][1]
+    grad = upstream
+    d_layers = []
+    for i in range(len(layers) - 1, -1, -1):
+        d_layers.insert(0, (grad.T @ acts[i], grad.sum(axis=0)))
+        grad = grad @ layers[i][0]
+        if i > 0:
+            grad = grad * (acts[i] > 0.0)
+    pieces = np.split(grad[:, coords.shape[1] :], np.cumsum(counts)[:-1])
+    return out, d_layers, np.stack([p.sum(axis=0) for p in pieces])
+
+
+def test_segments_of_unequal_length_match_concatenated_rows():
+    """Three segments of 3, 1 and 5 rows, each with its own latent: value,
+    every dW/db and each segment's latent gradient equal the reference
+    that copies the latents onto the rows."""
+    rng = np.random.default_rng(21)
+    params = init_params(3, 4, (6, 5), seed=22)
+    counts = [3, 1, 5]
+    coords = rng.normal(size=(9, 3))
+    latents = rng.normal(0, 0.5, (3, 4))
+    upstream = rng.normal(size=(9, 3))
+    starts = [0, 3, 4]
+
+    out, acts = run_layers(params.layers, coords, latents, starts)
+    d_layers, d_latents = run_layers_backward(
+        params.layers, acts, upstream, latents, starts
+    )
+    ref_out, ref_layers, ref_latents = _concatenated_reference(
+        params.layers, coords, latents, counts, upstream
+    )
+    np.testing.assert_allclose(out, ref_out, rtol=1e-12, atol=1e-14)
+    for (dw, db), (ref_dw, ref_db) in zip(d_layers, ref_layers):
+        np.testing.assert_allclose(dw, ref_dw, rtol=1e-12, atol=1e-14)
+        np.testing.assert_allclose(db, ref_db, rtol=1e-12, atol=1e-14)
+    assert d_latents.shape == (3, 4)
+    np.testing.assert_allclose(d_latents, ref_latents, rtol=1e-12, atol=1e-14)
 
 
 def test_shape_mismatch_errors():

@@ -1,7 +1,12 @@
 import numpy as np
 import pytest
 
-from groupalign.errors import NonFiniteError, ShapeMismatchError, TooFewSetsError
+from groupalign.errors import (
+    EmptySetError,
+    NonFiniteError,
+    ShapeMismatchError,
+    TooFewSetsError,
+)
 from groupalign.geometry import Group, PointSet
 from groupalign.loss import normalized_cd
 from groupalign.optimizer import (
@@ -197,7 +202,8 @@ def test_worker_count_does_not_change_results(small_groups):
 
 
 def test_per_group_mode_is_independent(small_fish, small_groups):
-    """With separate decoders, editing one group cannot change another."""
+    """With separate decoders, editing one group cannot change another, and
+    each group comes out bit-identical to aligning it alone."""
     a, b = small_groups
     a_alt = make_group(small_fish, 3, 0.3, seed=9, group_id="a")
     cfg = OptimConfig(**SMALL, share_decoder=False)
@@ -210,6 +216,17 @@ def test_per_group_mode_is_independent(small_fish, small_groups):
         np.testing.assert_array_equal(t1.points, t2.points)
     assert r1.decoder_params is None
     assert b1.decoder_params is not None
+    for together, g in zip(r1.groups, (a, b)):
+        alone = align([g], cfg).groups[0]
+        np.testing.assert_array_equal(together.latent.values, alone.latent.values)
+        assert together.final_normalized_cd == alone.final_normalized_cd
+        for t1, t2 in zip(together.transformed, alone.transformed):
+            np.testing.assert_array_equal(t1.points, t2.points)
+        for layer_t, layer_a in zip(
+            together.decoder_params.layers, alone.decoder_params.layers
+        ):
+            for arr_t, arr_a in zip(layer_t, layer_a):
+                np.testing.assert_array_equal(arr_t, arr_a)
 
 
 def test_shared_mode_couples_groups(small_fish, small_groups):
@@ -252,3 +269,12 @@ def test_input_validation(small_groups):
     )
     with pytest.raises(ShapeMismatchError):
         align([a, g3], OptimConfig(**SMALL))
+
+
+def test_empty_member_rejected(small_groups):
+    a, _ = small_groups
+    empty = Group((PointSet(np.zeros((0, 2))), PointSet(np.ones((3, 2)))), "hollow")
+    with pytest.raises(EmptySetError, match="hollow"):
+        align([a, empty], OptimConfig(**SMALL))
+    with pytest.raises(EmptySetError):
+        align([empty], OptimConfig(**SMALL, share_decoder=False))
