@@ -8,8 +8,9 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import os
 import sys
-import time
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -77,31 +78,52 @@ def _cmd_synth(args) -> int:
     return 0
 
 
+def _refuse_overwrite(manifest_path, manifest: GroupManifest, outputs) -> None:
+    """Raise before any write when an output path names an input file.
+
+    Files are compared by device and inode, which also sees through
+    symlinks, hard links and relative paths."""
+    inputs = [manifest_path, *(m for g in manifest.groups for m in g.members)]
+    taken = {(st.st_dev, st.st_ino) for st in map(os.stat, inputs)}
+    for path in outputs:
+        try:
+            st = os.stat(path)
+        except (FileNotFoundError, NotADirectoryError):
+            continue  # nothing there yet, so not an input
+        if (st.st_dev, st.st_ino) in taken:
+            raise GroupAlignError(f"{path} is an input file; choose another --out")
+
+
 def _cmd_noise(args) -> int:
     manifest = read_manifest(args.manifest)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     selected = None
     if args.members != "all":
-        selected = {int(tok) for tok in args.members.split(",")}
-
+        try:
+            selected = {int(tok) for tok in args.members.split(",")}
+        except ValueError:
+            raise GroupAlignError(
+                f"--members must be comma-separated indices, got {args.members!r}"
+            ) from None
+    spec = NoiseSpec(args.kind, args.level)
     seeds = np.random.SeedSequence(args.seed).generate_state(
         sum(len(g.members) for g in manifest.groups)
     )
     seed_iter = iter(int(s) for s in seeds)
+    out = Path(args.out)
+    new_paths = [[out / Path(m).name for m in g.members] for g in manifest.groups]
+    outputs = [*chain.from_iterable(new_paths), out / "manifest.json"]
+    _refuse_overwrite(args.manifest, manifest, outputs)
+    out.mkdir(parents=True, exist_ok=True)
 
     new_groups = []
-    for g in manifest.groups:
-        members = []
-        for mi, member_path in enumerate(g.members):
+    for g, paths in zip(manifest.groups, new_paths):
+        for mi, (member_path, new_path) in enumerate(zip(g.members, paths)):
             ps = read_point_set(member_path)
             seed = next(seed_iter)
             if selected is None or mi in selected:
-                ps = apply_noise(ps, NoiseSpec(args.kind, args.level, seed))
-            new_path = out / Path(member_path).name
+                ps = apply_noise(ps, dataclasses.replace(spec, seed=seed))
             write_point_set(ps, new_path)
-            members.append(new_path)
-        new_groups.append(ManifestGroup(g.group_id, members))
+        new_groups.append(ManifestGroup(g.group_id, paths))
 
     meta = dict(manifest.meta)
     meta["noise"] = {"kind": args.kind, "level": args.level, "seed": args.seed}
@@ -151,21 +173,27 @@ def _cmd_align(args) -> int:
     groups = load_groups(manifest)
     cfg = _load_config(args)
     out = Path(args.out)
+    member_paths = {
+        g.group_id: [out / f"{g.group_id}_m{i:02d}.txt" for i in range(len(g.members))]
+        for g in manifest.groups
+    }
+    outputs = [*chain.from_iterable(member_paths.values())]
+    outputs += [out / n for n in ("report.csv", "loss_trace.csv", "manifest.json")]
+    if args.svg:
+        outputs += [out / f"{gid}_{when}.svg" for gid in member_paths
+                    for when in ("before", "after")]
+    _refuse_overwrite(args.manifest, manifest, outputs)
     out.mkdir(parents=True, exist_ok=True)
 
-    start = time.perf_counter()
     result = align(groups, cfg)
-    wall = time.perf_counter() - start
 
     aligned_groups = []
     rows = []
     for ga in result.groups:
-        members = []
-        for mi, ps in enumerate(ga.transformed):
-            member_path = out / f"{ga.group_id}_m{mi:02d}.txt"
+        paths = member_paths[ga.group_id]
+        for ps, member_path in zip(ga.transformed, paths):
             write_point_set(ps, member_path)
-            members.append(member_path)
-        aligned_groups.append(ManifestGroup(ga.group_id, members))
+        aligned_groups.append(ManifestGroup(ga.group_id, paths))
         rows.append(
             RunRow(
                 group_id=ga.group_id,
@@ -173,7 +201,7 @@ def _cmd_align(args) -> int:
                 initial_normalized_cd=ga.initial_normalized_cd,
                 final_normalized_cd=ga.final_normalized_cd,
                 steps=ga.steps_run,
-                wall_seconds=wall / len(result.groups),
+                wall_seconds=ga.wall_seconds,
             )
         )
 

@@ -11,8 +11,11 @@ decoder, and applies the Adam updates.
 from __future__ import annotations
 
 import math
+import numbers
+import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
+from itertools import chain
 from typing import Sequence
 
 import numpy as np
@@ -33,7 +36,7 @@ from .geometry import (
 BETA1, BETA2, EPSILON = 0.9, 0.999, 1e-8
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(eq=False)
 class AdamState:
     """First/second moment accumulators and the step counter for one variable."""
 
@@ -49,24 +52,47 @@ class AdamState:
 
 def adam_step(
     state: AdamState, variable: np.ndarray, gradient: np.ndarray, lr: float
-) -> tuple[AdamState, np.ndarray]:
-    """One bias-corrected Adam update; returns the new (state, variable)."""
-    var = np.asarray(variable, dtype=np.float64)
+) -> None:
+    """One bias-corrected Adam update of ``variable`` and ``state``, in place.
+
+    Every check runs before anything is written, so a rejected call leaves
+    both untouched."""
+    if not (
+        isinstance(variable, np.ndarray)
+        and variable.dtype == np.float64
+        and variable.flags.writeable
+    ):
+        raise TypeError("Adam updates a writable float64 ndarray in place")
     grad = np.asarray(gradient, dtype=np.float64)
-    if grad.shape != var.shape or state.first_moment.shape != var.shape:
+    m, v = state.first_moment, state.second_moment
+    if not grad.shape == variable.shape == m.shape == v.shape:
         raise ShapeMismatchError(
-            f"variable {var.shape}, gradient {grad.shape}, and state "
-            f"{state.first_moment.shape} shapes must all match"
+            f"variable {variable.shape}, gradient {grad.shape}, and state "
+            f"{m.shape} shapes must all match"
         )
     if not np.isfinite(grad).all():
         raise NonFiniteError("gradient contains non-finite values")
-    t = state.step_count + 1
-    m = BETA1 * state.first_moment + (1.0 - BETA1) * grad
-    v = BETA2 * state.second_moment + (1.0 - BETA2) * grad * grad
+    state.step_count += 1
+    t = state.step_count
+    m[...] = BETA1 * m + (1.0 - BETA1) * grad
+    v[...] = BETA2 * v + (1.0 - BETA2) * grad * grad
     m_hat = m / (1.0 - BETA1**t)
     v_hat = v / (1.0 - BETA2**t)
-    updated = var - lr * m_hat / (np.sqrt(v_hat) + EPSILON)
-    return replace(state, first_moment=m, second_moment=v, step_count=t), updated
+    variable -= lr * m_hat / (np.sqrt(v_hat) + EPSILON)
+
+
+# Annotation (a string, under postponed evaluation) -> accepted type, wording.
+_FIELD_KINDS = {
+    "int": (numbers.Integral, "an integer"),
+    "float": (numbers.Real, "a real number"),
+    "bool": (bool, "true or false"),
+}
+
+
+def _check_kind(name: str, value, kind: type, wording: str) -> None:
+    # bool is an Integral, but a flag where a count belongs is a mistake.
+    if not isinstance(value, kind) or (isinstance(value, bool) and kind is not bool):
+        raise ValueError(f"{name} must be {wording}, got {value!r}")
 
 
 @dataclass
@@ -87,7 +113,18 @@ class OptimConfig:
     workers: int = 1
 
     def __post_init__(self):
-        self.hidden = tuple(int(h) for h in self.hidden)
+        for f in fields(self):
+            if f.type in _FIELD_KINDS:
+                _check_kind(f.name, getattr(self, f.name), *_FIELD_KINDS[f.type])
+        try:
+            hidden = tuple(self.hidden)
+        except TypeError:
+            raise ValueError(
+                f"hidden must be a sequence of widths, got {self.hidden!r}"
+            ) from None
+        for h in hidden:
+            _check_kind("hidden widths", h, *_FIELD_KINDS["int"])
+        self.hidden = tuple(int(h) for h in hidden)
         if self.max_steps < 1:
             raise ValueError(f"max_steps must be >= 1, got {self.max_steps}")
         if not (self.lr_start >= self.lr_end > 0.0):
@@ -102,6 +139,8 @@ class OptimConfig:
             raise ValueError(f"latent_dim must be >= 1, got {self.latent_dim}")
         if not self.hidden or any(h < 1 for h in self.hidden):
             raise ValueError(f"hidden widths must be positive, got {self.hidden}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
         if self.convergence_rel_tol < 0.0 or self.convergence_window < 1:
             raise ValueError("convergence settings out of range")
         if self.workers < 1:
@@ -142,6 +181,7 @@ class GroupAlignment:
     final_loss: losses.LossBreakdown
     steps_run: int
     decoder_params: dec.DecoderParams | None = None  # set in per-group mode
+    wall_seconds: float = 0.0  # wall time of the whole scope the group ran in
 
 
 @dataclass(frozen=True, eq=False)
@@ -160,23 +200,6 @@ class AlignmentResult:
     converged_early: bool
 
 
-def _layer_arrays(params: dec.DecoderParams) -> list[np.ndarray]:
-    return [np.array(a) for layer in params.layers for a in layer]
-
-
-def _as_layers(arrays: Sequence[np.ndarray]) -> list[dec.Layer]:
-    return [(arrays[i], arrays[i + 1]) for i in range(0, len(arrays), 2)]
-
-
-def _group_terms(member_views: list[np.ndarray], drift_rows: np.ndarray, lam: float):
-    """Alignment and regularizer values plus the combined drift gradient."""
-    align_val, align_grads = losses.alignment_terms(member_views)
-    reg_val, reg_grad = losses.drift_penalty(drift_rows)
-    grad = np.vstack(align_grads)
-    grad += lam * reg_grad
-    return align_val, reg_val, grad
-
-
 def _scope_seeds(cfg: OptimConfig, n_groups: int) -> tuple[int, list[int]]:
     """Derive stable seeds from the single config seed: the decoder seed,
     then one latent seed per group. ``generate_state`` is prefix-stable, so
@@ -192,6 +215,7 @@ def _align_scope(
     z_seeds: Sequence[int],
 ) -> tuple[list[GroupAlignment], dec.DecoderParams, np.ndarray, bool]:
     """Optimize one decoder scope: a shared decoder plus its groups."""
+    start_time = time.perf_counter()
     dim = groups[0].dim
     latent = cfg.latent_dim
 
@@ -213,39 +237,43 @@ def _align_scope(
     x_all = np.vstack(coords)
     starts = np.array([sl.start for sl in group_slices])
 
-    params = dec.init_params(dim, latent, cfg.hidden, theta_seed)
-    theta = _layer_arrays(params)
+    # The only copy of the variables, updated in place by Adam: the
+    # decoder's (W, b) pairs and one latent row per group.
+    layers = [
+        (np.array(w), np.array(b))
+        for w, b in dec.init_params(dim, latent, cfg.hidden, theta_seed).layers
+    ]
     latents = np.stack([init_gld(latent, s).values for s in z_seeds])
+    variables = [*chain.from_iterable(layers), *latents]
+    states = [AdamState.for_variable(v) for v in variables]
 
-    theta_states = [AdamState.for_variable(a) for a in theta]
-    z_states = [AdamState.for_variable(z) for z in latents]
+    workers = min(cfg.workers, len(groups))
+    pool = ThreadPoolExecutor(workers) if workers > 1 else None
+    map_groups = map if pool is None else pool.map
 
-    pool = ThreadPoolExecutor(cfg.workers) if cfg.workers > 1 else None
-
-    def loss_phase(transformed, drifts):
-        def one(i):
-            views = [transformed[s] for s in member_slices[i]]
-            return _group_terms(views, drifts[group_slices[i]], cfg.reg_lambda)
-
-        if pool is None:
-            return [one(i) for i in range(len(groups))]
-        return list(pool.map(one, range(len(groups))))
+    def group_loss(i):
+        """Group i's loss values for this step's drifts. Writes the group's
+        own rows of grad_rows, so the pool's tasks never share a row."""
+        rows = group_slices[i]
+        views = [transformed[s] for s in member_slices[i]]
+        align_val, align_grads = losses.alignment_terms(views)
+        reg_val, reg_grad = losses.drift_penalty(drifts[rows])
+        grad_rows[rows] = np.concatenate(align_grads) + cfg.reg_lambda * reg_grad
+        return align_val, reg_val
 
     trace_rows: list[tuple[float, float, float]] = []
     early = False
     try:
         for step in range(cfg.max_steps):
-            layers = _as_layers(theta)
             drifts, acts = dec.run_layers(layers, x_all, latents, starts)
             transformed = x_all + drifts
+            grad_rows = np.empty_like(drifts)
 
             align_total = 0.0
             reg_total = 0.0
-            grad_rows = np.empty_like(drifts)
-            for i, (a_val, r_val, g) in enumerate(loss_phase(transformed, drifts)):
+            for a_val, r_val in map_groups(group_loss, range(len(groups))):
                 align_total += a_val
                 reg_total += r_val
-                grad_rows[group_slices[i]] = g
             total = align_total + cfg.reg_lambda * reg_total
             if not math.isfinite(total):
                 raise NonFiniteError(
@@ -258,15 +286,9 @@ def _align_scope(
                 layers, acts, grad_rows, latents, starts
             )
             lr = lr_at(step, cfg)
-            flat_grads = [a for pair in d_layers for a in pair]
-            for i in range(len(theta)):
-                theta_states[i], theta[i] = adam_step(
-                    theta_states[i], theta[i], flat_grads[i], lr
-                )
-            for i in range(len(latents)):
-                z_states[i], latents[i] = adam_step(
-                    z_states[i], latents[i], d_latents[i], lr
-                )
+            gradients = chain(chain.from_iterable(d_layers), d_latents)
+            for state, var, grad in zip(states, variables, gradients, strict=True):
+                adam_step(state, var, grad, lr)
 
             if converged([r[2] for r in trace_rows], cfg):
                 early = True
@@ -275,18 +297,18 @@ def _align_scope(
         if pool is not None:
             pool.shutdown()
 
-    final_params = dec.DecoderParams(tuple(_as_layers(theta)))
+    final_params = dec.DecoderParams(tuple(layers))
     results = []
     for i, g in enumerate(groups):
         z = GroupLatentDescriptor(latents[i])
-        fields = [dec.forward(final_params, z, m) for m in g.members]
-        moved = [apply_drift(m, f) for m, f in zip(g.members, fields)]
-        breakdown = losses.regularized_loss(g.members, fields, cfg.reg_lambda)
+        drift_fields = [dec.forward(final_params, z, m) for m in g.members]
+        moved = [apply_drift(m, f) for m, f in zip(g.members, drift_fields)]
+        breakdown = losses.regularized_loss(g.members, drift_fields, cfg.reg_lambda)
         results.append(
             GroupAlignment(
                 group_id=g.group_id,
                 transformed=tuple(moved),
-                drifts=tuple(fields),
+                drifts=tuple(drift_fields),
                 latent=z,
                 initial_normalized_cd=losses.normalized_cd(g.members),
                 final_normalized_cd=breakdown.normalized_cd,
@@ -294,6 +316,8 @@ def _align_scope(
                 steps_run=len(trace_rows),
             )
         )
+    wall = time.perf_counter() - start_time
+    results = [replace(r, wall_seconds=wall) for r in results]
     return results, final_params, np.array(trace_rows), early
 
 

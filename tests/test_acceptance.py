@@ -249,6 +249,7 @@ def test_c05_residuals_track_deformation_level():
     )
 
 
+@pytest.mark.slow
 def test_c06_final_error_stable_across_run_seeds():
     """Ten optimizer seeds on one fixed level-0.4 group; the spread of
     final errors stays well inside a third of their mean."""
@@ -265,6 +266,7 @@ def test_c06_final_error_stable_across_run_seeds():
     _verdict("seed robustness", cv < 0.3, f"mean {finals.mean():.2e}, CV {cv:.3f}")
 
 
+@pytest.mark.slow
 def test_c07_group_size_sweep_stays_in_band():
     t0 = time.perf_counter()
     fish = fish_shape()
@@ -286,6 +288,7 @@ def test_c07_group_size_sweep_stays_in_band():
     )
 
 
+@pytest.mark.slow
 def test_c08_heavier_regularization_leaves_more_misalignment():
     blob = blob_shape(2048, seed=7)
     group = make_group(blob, 3, 0.4, seed=8)
@@ -301,6 +304,7 @@ def test_c08_heavier_regularization_leaves_more_misalignment():
     )
 
 
+@pytest.mark.slow
 def test_c09_many_3d_groups_reduce_error():
     t0 = time.perf_counter()
     groups = [

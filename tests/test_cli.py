@@ -5,8 +5,9 @@ import json
 import numpy as np
 import pytest
 
+from groupalign import cli
 from groupalign.cli import _load_config, build_parser, main
-from groupalign.optimizer import OptimConfig
+from groupalign.optimizer import OptimConfig, align
 from groupalign.pointio import read_manifest, read_point_set
 
 
@@ -232,6 +233,34 @@ class TestAlign:
         report = _read_report(out / "report.csv")
         assert [r[0] for r in report[1:-1]] == ["g000", "g001"]
 
+    @pytest.mark.parametrize("share", [True, False])
+    def test_wall_seconds_come_from_the_alignment(
+        self, tmp_path, capsys, monkeypatch, share
+    ):
+        results = []
+
+        def spy(groups, cfg):
+            results.append(align(groups, cfg))
+            return results[-1]
+
+        monkeypatch.setattr(cli, "align", spy)
+        manifest_path = _synth(tmp_path, groups=2, k=2)
+        out = tmp_path / "aligned"
+        flags = [] if share else ["--per-group-decoder"]
+        rc = main(
+            ["align", "--manifest", str(manifest_path), "--out", str(out)]
+            + FAST_ALIGN + flags
+        )
+        capsys.readouterr()
+        assert rc == 0
+        [res] = results
+        walls = [float(r[5]) for r in _read_report(out / "report.csv")[1:-1]]
+        expected = [g.wall_seconds for g in res.groups]
+        assert walls == pytest.approx(expected, abs=1e-6)
+        if share:
+            # the time of the one joint scope on both rows, not half of it
+            assert expected[0] == expected[1]
+
     def test_deterministic_modulo_wall_time(self, tmp_path, capsys):
         manifest_path = _synth(tmp_path)
         outs = []
@@ -303,12 +332,57 @@ class TestErrorPaths:
 
     def test_bad_noise_level(self, tmp_path, capsys):
         manifest_path = _synth(tmp_path)
-        rc = main(
-            ["noise", "--manifest", str(manifest_path),
-             "--out", str(tmp_path / "n"), "--kind", "di", "--level", "1.5"]
-        )
         capsys.readouterr()
+        for i, extra in enumerate(
+            [
+                ["--level", "1.5"],
+                ["--level", "1.5", "--members", "1"],
+                ["--level", "0.2", "--members", "0,x"],
+                ["--level", "0.2", "--seed", "-1"],
+            ]
+        ):
+            out = tmp_path / f"n{i}"
+            rc = main(
+                ["noise", "--manifest", str(manifest_path),
+                 "--out", str(out), "--kind", "di"] + extra
+            )
+            assert rc == 1
+            assert capsys.readouterr().err.startswith("error:")
+            assert not out.exists()
+
+    def test_bad_config_value_writes_nothing(self, tmp_path, capsys):
+        manifest_path = _synth(tmp_path)
+        capsys.readouterr()
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"max_steps": 2.5}))
+        rc = main(
+            ["align", "--manifest", str(manifest_path),
+             "--out", str(tmp_path / "x"), "--config", str(cfg)]
+        )
+        err = capsys.readouterr().err
         assert rc == 1
+        assert err.startswith("error:")
+        assert "max_steps" in err
+        assert not (tmp_path / "x").exists()
+
+    @pytest.mark.parametrize(
+        "command",
+        [["noise", "--kind", "gd", "--level", "0.05"], ["align"] + FAST_ALIGN],
+    )
+    def test_out_onto_the_inputs_is_refused(self, tmp_path, capsys, command):
+        manifest_path = _synth(tmp_path)
+        capsys.readouterr()
+        data = manifest_path.parent
+        before = {p: p.read_bytes() for p in data.iterdir()}
+        rc = main(
+            command[:1] + ["--manifest", str(manifest_path), "--out", str(data)]
+            + command[1:]
+        )
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert err.startswith("error:")
+        assert "input" in err
+        assert {p: p.read_bytes() for p in data.iterdir()} == before
 
 
 class TestManifestValidation:

@@ -1,6 +1,10 @@
+import sys
+import time
+
 import numpy as np
 import pytest
 
+from groupalign import optimizer
 from groupalign.errors import (
     EmptySetError,
     NonFiniteError,
@@ -27,32 +31,30 @@ class TestAdam:
     def test_zero_gradient_leaves_variable_unchanged(self):
         x = np.array([1.5, -2.0])
         state = AdamState.for_variable(x)
-        _, out = adam_step(state, x, np.zeros(2), lr=0.01)
-        np.testing.assert_array_equal(out, x)
+        assert adam_step(state, x, np.zeros(2), lr=0.01) is None
+        np.testing.assert_array_equal(x, [1.5, -2.0])
 
     def test_first_step_is_signed_lr(self):
         x = np.array([0.0, 0.0])
         state = AdamState.for_variable(x)
-        _, out = adam_step(state, x, np.array([0.3, -0.7]), lr=0.01)
-        np.testing.assert_allclose(out, [-0.01, 0.01], rtol=1e-6)
+        adam_step(state, x, np.array([0.3, -0.7]), lr=0.01)
+        np.testing.assert_allclose(x, [-0.01, 0.01], rtol=1e-6)
 
     def test_sequence_matches_scalar_oracle(self):
         grads = [0.3, -0.2, 0.05, 0.4]
         x = np.array([1.0])
         state = AdamState.for_variable(x)
         for g in grads:
-            state, x = adam_step(state, x, np.array([g]), lr=0.02)
+            adam_step(state, x, np.array([g]), lr=0.02)
         assert state.step_count == 4
         expected = adam_sequence(grads, lr=0.02, x0=1.0)
         assert x[0] == pytest.approx(expected, rel=1e-12)
 
-    def test_state_is_not_mutated(self):
-        x = np.array([1.0])
-        s0 = AdamState.for_variable(x)
-        s1, _ = adam_step(s0, x, np.array([0.5]), lr=0.1)
-        assert s0.step_count == 0
-        assert s1.step_count == 1
-        np.testing.assert_array_equal(s0.first_moment, [0.0])
+    def test_updates_a_row_view_in_place(self):
+        latents = np.zeros((2, 2))
+        adam_step(AdamState.for_variable(latents[1]), latents[1], np.ones(2), lr=0.01)
+        np.testing.assert_array_equal(latents[0], [0.0, 0.0])
+        np.testing.assert_allclose(latents[1], [-0.01, -0.01], rtol=1e-6)
 
     def test_errors(self):
         x = np.array([1.0, 2.0])
@@ -61,6 +63,35 @@ class TestAdam:
             adam_step(state, x, np.zeros(3), lr=0.1)
         with pytest.raises(NonFiniteError):
             adam_step(state, x, np.array([np.inf, 0.0]), lr=0.1)
+
+    @pytest.mark.parametrize(
+        "gradient, error",
+        [
+            (np.zeros(3), ShapeMismatchError),
+            (np.array([0.5, np.nan]), NonFiniteError),
+        ],
+    )
+    def test_rejected_gradient_changes_nothing(self, gradient, error):
+        x = np.array([1.0, 2.0])
+        state = AdamState.for_variable(x)
+        adam_step(state, x, np.array([0.5, -0.5]), lr=0.1)
+        before = (x.copy(), state.first_moment.copy(), state.second_moment.copy())
+        with pytest.raises(error):
+            adam_step(state, x, gradient, lr=0.1)
+        assert state.step_count == 1
+        for kept, now in zip(before, (x, state.first_moment, state.second_moment)):
+            np.testing.assert_array_equal(kept, now)
+
+    def test_variable_that_cannot_be_updated_in_place_is_rejected(self):
+        read_only = np.array([1.0, 2.0])
+        read_only.setflags(write=False)
+        for variable in (read_only, np.array([1.0, 2.0], dtype=np.float32), [1.0, 2.0]):
+            state = AdamState.for_variable(variable)
+            with pytest.raises(TypeError):
+                adam_step(state, variable, np.ones(2), lr=0.1)
+            assert state.step_count == 0
+            np.testing.assert_array_equal(state.first_moment, [0.0, 0.0])
+        np.testing.assert_array_equal(read_only, [1.0, 2.0])
 
 
 class TestSchedule:
@@ -121,11 +152,32 @@ class TestConfig:
             {"hidden": (8, 0)},
             {"convergence_window": 0},
             {"workers": 0},
+            {"max_steps": 2.5},
+            {"max_steps": True},
+            {"lr_start": "0.1"},
+            {"reg_lambda": False},
+            {"latent_dim": 2.5},
+            {"hidden": 5},
+            {"hidden": (128.7, 64)},
+            {"hidden": "12"},
+            {"share_decoder": "no"},
+            {"share_decoder": 1},
+            {"workers": 1.5},
+            {"seed": None},
+            {"seed": -1},
         ],
     )
     def test_validation(self, kwargs):
         with pytest.raises(ValueError):
             OptimConfig(**kwargs)
+
+    def test_numeric_kinds_are_accepted(self):
+        cfg = OptimConfig(
+            max_steps=np.int64(3), lr_start=1, lr_end=np.float64(0.5),
+            hidden=[np.int32(4)],
+        )
+        assert cfg.hidden == (4,)
+        assert cfg.max_steps == 3
 
 
 SMALL = dict(max_steps=120, latent_dim=16, hidden=(16, 8), seed=7)
@@ -199,6 +251,25 @@ def test_worker_count_does_not_change_results(small_groups):
     for g1, g2 in zip(r1.groups, r2.groups):
         for t1, t2 in zip(g1.transformed, g2.transformed):
             np.testing.assert_array_equal(t1.points, t2.points)
+
+
+def test_loss_workers_write_their_own_rows_under_contention(small_fish):
+    """More loss threads than cores and a tiny switch interval: every group's
+    gradient rows must still land where the serial run puts them."""
+    groups = [make_group(small_fish, 2, 0.3, seed=s, group_id=str(s)) for s in range(6)]
+    cfg = {**SMALL, "max_steps": 5}
+    serial = align(groups, OptimConfig(**cfg))
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        t0 = time.perf_counter()
+        threaded = align(groups, OptimConfig(**cfg, workers=6))
+        assert time.perf_counter() - t0 < 60.0
+    finally:
+        sys.setswitchinterval(interval)
+    np.testing.assert_array_equal(serial.loss_trace, threaded.loss_trace)
+    for g1, g2 in zip(serial.groups, threaded.groups):
+        np.testing.assert_array_equal(g1.latent.values, g2.latent.values)
 
 
 def test_per_group_mode_is_independent(small_fish, small_groups):
@@ -278,3 +349,35 @@ def test_empty_member_rejected(small_groups):
         align([a, empty], OptimConfig(**SMALL))
     with pytest.raises(EmptySetError):
         align([empty], OptimConfig(**SMALL, share_decoder=False))
+
+
+@pytest.mark.parametrize("share", [True, False])
+def test_wall_seconds_is_the_time_of_the_scope(small_groups, share):
+    """Shared mode gives every group the time of the one joint scope, not a
+    share of it; per-group mode gives each group its own scope's time."""
+    cfg = OptimConfig(**{**SMALL, "max_steps": 20}, share_decoder=share)
+    t0 = time.perf_counter()
+    res = align(list(small_groups), cfg)
+    outer = time.perf_counter() - t0
+    walls = [g.wall_seconds for g in res.groups]
+    if share:
+        assert walls[0] == walls[1]
+        assert 0.5 * outer < walls[0] <= outer
+    else:
+        assert walls[0] != walls[1]
+        assert 0.5 * outer < sum(walls) <= outer
+
+
+def test_loss_pool_only_for_several_groups(small_groups, monkeypatch):
+    made = []
+    real = optimizer.ThreadPoolExecutor
+    monkeypatch.setattr(
+        optimizer, "ThreadPoolExecutor", lambda n: made.append(n) or real(n)
+    )
+    a, b = small_groups
+    cfg = {**SMALL, "max_steps": 2, "workers": 4}
+    align([a], OptimConfig(**cfg))
+    align([a, b], OptimConfig(**cfg, share_decoder=False))
+    assert made == []
+    align([a, b], OptimConfig(**cfg))
+    assert made == [2]
