@@ -38,52 +38,18 @@ from .synthesis import NoiseSpec, apply_noise, make_group
 CONFIG_KEYS = tuple(f.name for f in dataclasses.fields(OptimConfig))
 
 
-def _cmd_synth(args) -> int:
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    seeds = np.random.SeedSequence(args.seed).generate_state(2 * args.groups)
-
-    if args.base is not None:
-        base = normalize(read_point_set(args.base))
-        dim = base.dim
-    else:
-        dim = args.dim
-        base = fish_shape() if dim == 2 else None
-
-    manifest_groups = []
-    for gi in range(args.groups):
-        gid = f"g{gi:03d}"
-        if args.base is not None:
-            group_base = base
-        elif dim == 2:
-            group_base = base
-        else:
-            group_base = blob_shape(args.points, int(seeds[2 * gi]))
-        group = make_group(group_base, args.k, args.level, int(seeds[2 * gi + 1]), gid)
-        members = []
-        for mi, member in enumerate(group.members):
-            member_path = out / f"{gid}_m{mi:02d}.txt"
-            write_point_set(member, member_path)
-            members.append(member_path)
-        manifest_groups.append(ManifestGroup(gid, members))
-
-    manifest = GroupManifest(
-        dim=dim,
-        groups=manifest_groups,
-        meta={"level": args.level, "seed": args.seed, "k": args.k},
-    )
-    manifest_path = out / "manifest.json"
-    write_manifest(manifest, manifest_path)
-    print(f"wrote {args.groups} group(s) of {args.k} members to {manifest_path}")
-    return 0
+def _member_paths(out: Path, groups) -> list[list[Path]]:
+    # read_manifest rejects repeated and path-like group ids, so no two
+    # members get one name and no name leaves `out`.
+    return [[out / f"{g.group_id}_m{i:02d}.txt" for i in range(len(g.members))]
+            for g in groups]
 
 
-def _refuse_overwrite(manifest_path, manifest: GroupManifest, outputs) -> None:
+def _refuse_overwrite(inputs, outputs) -> None:
     """Raise before any write when an output path names an input file.
 
     Files are compared by device and inode, which also sees through
     symlinks, hard links and relative paths."""
-    inputs = [manifest_path, *(m for g in manifest.groups for m in g.members)]
     taken = {(st.st_dev, st.st_ino) for st in map(os.stat, inputs)}
     for path in outputs:
         try:
@@ -94,8 +60,41 @@ def _refuse_overwrite(manifest_path, manifest: GroupManifest, outputs) -> None:
             raise GroupAlignError(f"{path} is an input file; choose another --out")
 
 
+def _cmd_synth(args) -> int:
+    if args.groups < 1:
+        raise GroupAlignError(f"--groups must be at least 1, got {args.groups}")
+    seeds = np.random.SeedSequence(args.seed).generate_state(2 * args.groups)
+    if args.base is not None:
+        bases = [normalize(read_point_set(args.base))] * args.groups
+    elif args.dim == 2:
+        bases = [fish_shape()] * args.groups
+    else:
+        bases = [blob_shape(args.points, int(s)) for s in seeds[0::2]]
+    groups = [
+        make_group(base, args.k, args.level, int(s), f"g{gi:03d}")
+        for gi, (base, s) in enumerate(zip(bases, seeds[1::2]))
+    ]
+    out = Path(args.out)
+    member_paths = _member_paths(out, groups)
+    manifest_path = out / "manifest.json"
+    inputs = [] if args.base is None else [args.base]
+    _refuse_overwrite(inputs, [*chain.from_iterable(member_paths), manifest_path])
+    out.mkdir(parents=True, exist_ok=True)
+
+    manifest_groups = []
+    for group, paths in zip(groups, member_paths):
+        for member, member_path in zip(group.members, paths):
+            write_point_set(member, member_path)
+        manifest_groups.append(ManifestGroup(group.group_id, paths))
+    meta = {"level": args.level, "seed": args.seed, "k": args.k}
+    write_manifest(GroupManifest(groups[0].dim, manifest_groups, meta), manifest_path)
+    print(f"wrote {args.groups} group(s) of {args.k} members to {manifest_path}")
+    return 0
+
+
 def _cmd_noise(args) -> int:
     manifest = read_manifest(args.manifest)
+    groups = load_groups(manifest)
     selected = None
     if args.members != "all":
         try:
@@ -104,21 +103,26 @@ def _cmd_noise(args) -> int:
             raise GroupAlignError(
                 f"--members must be comma-separated indices, got {args.members!r}"
             ) from None
+        widest = max(len(g.members) for g in manifest.groups)
+        if not all(0 <= i < widest for i in selected):
+            raise GroupAlignError(
+                f"--members must be indices 0 to {widest - 1}, got {args.members!r}"
+            )
     spec = NoiseSpec(args.kind, args.level)
     seeds = np.random.SeedSequence(args.seed).generate_state(
         sum(len(g.members) for g in manifest.groups)
     )
     seed_iter = iter(int(s) for s in seeds)
     out = Path(args.out)
-    new_paths = [[out / Path(m).name for m in g.members] for g in manifest.groups]
-    outputs = [*chain.from_iterable(new_paths), out / "manifest.json"]
-    _refuse_overwrite(args.manifest, manifest, outputs)
+    new_paths = _member_paths(out, manifest.groups)
+    manifest_path = out / "manifest.json"
+    inputs = [args.manifest, *(m for g in manifest.groups for m in g.members)]
+    _refuse_overwrite(inputs, [*chain.from_iterable(new_paths), manifest_path])
     out.mkdir(parents=True, exist_ok=True)
 
     new_groups = []
-    for g, paths in zip(manifest.groups, new_paths):
-        for mi, (member_path, new_path) in enumerate(zip(g.members, paths)):
-            ps = read_point_set(member_path)
+    for g, paths in zip(groups, new_paths):
+        for mi, (ps, new_path) in enumerate(zip(g.members, paths)):
             seed = next(seed_iter)
             if selected is None or mi in selected:
                 ps = apply_noise(ps, dataclasses.replace(spec, seed=seed))
@@ -127,9 +131,7 @@ def _cmd_noise(args) -> int:
 
     meta = dict(manifest.meta)
     meta["noise"] = {"kind": args.kind, "level": args.level, "seed": args.seed}
-    new_manifest = GroupManifest(manifest.dim, new_groups, meta)
-    manifest_path = out / "manifest.json"
-    write_manifest(new_manifest, manifest_path)
+    write_manifest(GroupManifest(manifest.dim, new_groups, meta), manifest_path)
     print(f"wrote corrupted copies to {manifest_path}")
     return 0
 
@@ -142,29 +144,19 @@ def _load_config(args) -> OptimConfig:
         if not isinstance(raw, dict):
             raise GroupAlignError(f"{args.config}: config must be a JSON object")
         if "lambda" in raw:  # accepted alias
+            if "reg_lambda" in raw:
+                raise GroupAlignError(
+                    f"{args.config}: set 'lambda' or 'reg_lambda', not both"
+                )
             raw["reg_lambda"] = raw.pop("lambda")
         unknown = set(raw) - set(CONFIG_KEYS)
         if unknown:
             raise GroupAlignError(f"{args.config}: unknown config keys {sorted(unknown)}")
         values.update(raw)
-
-    overrides = {
-        "max_steps": args.steps,
-        "reg_lambda": args.reg_lambda,
-        "latent_dim": args.latent_dim,
-        "seed": args.seed,
-        "lr_start": args.lr_start,
-        "lr_end": args.lr_end,
-        "lr_decay_steps": args.lr_decay_steps,
-        "workers": args.workers,
-    }
-    for key, val in overrides.items():
-        if val is not None:
-            values[key] = val
-    if args.hidden is not None:
-        values["hidden"] = tuple(int(tok) for tok in args.hidden.split(","))
-    if args.per_group_decoder:
-        values["share_decoder"] = False
+    # Flags are stored under their config keys and left None when not given.
+    for key in CONFIG_KEYS:
+        if getattr(args, key, None) is not None:
+            values[key] = getattr(args, key)
     return OptimConfig(**values)
 
 
@@ -173,24 +165,25 @@ def _cmd_align(args) -> int:
     groups = load_groups(manifest)
     cfg = _load_config(args)
     out = Path(args.out)
-    member_paths = {
-        g.group_id: [out / f"{g.group_id}_m{i:02d}.txt" for i in range(len(g.members))]
-        for g in manifest.groups
-    }
-    outputs = [*chain.from_iterable(member_paths.values())]
-    outputs += [out / n for n in ("report.csv", "loss_trace.csv", "manifest.json")]
-    if args.svg:
-        outputs += [out / f"{gid}_{when}.svg" for gid in member_paths
-                    for when in ("before", "after")]
-    _refuse_overwrite(args.manifest, manifest, outputs)
+    member_paths = _member_paths(out, manifest.groups)
+    report_path, trace_path, manifest_path = (
+        out / n for n in ("report.csv", "loss_trace.csv", "manifest.json")
+    )
+    svg_paths = []
+    if args.svg and manifest.dim == 2:
+        svg_paths = [[out / f"{g.group_id}_{when}.svg" for when in ("before", "after")]
+                     for g in manifest.groups]
+    inputs = [args.manifest, *(m for g in manifest.groups for m in g.members)]
+    outputs = [*chain.from_iterable(member_paths + svg_paths),
+               report_path, trace_path, manifest_path]
+    _refuse_overwrite(inputs, outputs)
     out.mkdir(parents=True, exist_ok=True)
 
     result = align(groups, cfg)
 
     aligned_groups = []
     rows = []
-    for ga in result.groups:
-        paths = member_paths[ga.group_id]
+    for ga, paths in zip(result.groups, member_paths):
         for ps, member_path in zip(ga.transformed, paths):
             write_point_set(ps, member_path)
         aligned_groups.append(ManifestGroup(ga.group_id, paths))
@@ -205,21 +198,16 @@ def _cmd_align(args) -> int:
             )
         )
 
-    report = RunReport(rows)
-    report.write_csv(out / "report.csv")
-    write_loss_trace(result.loss_trace, out / "loss_trace.csv")
-    write_manifest(
-        GroupManifest(manifest.dim, aligned_groups, {"aligned": True}),
-        out / "manifest.json",
-    )
+    RunReport(rows).write_csv(report_path)
+    write_loss_trace(result.loss_trace, trace_path)
+    aligned = GroupManifest(manifest.dim, aligned_groups, {"aligned": True})
+    write_manifest(aligned, manifest_path)
 
-    if args.svg:
-        if manifest.dim != 2:
-            print("skipping SVG output for 3D data", file=sys.stderr)
-        else:
-            for g, ga in zip(groups, result.groups):
-                render_svg(g.members, out / f"{ga.group_id}_before.svg")
-                render_svg(ga.transformed, out / f"{ga.group_id}_after.svg")
+    if args.svg and manifest.dim != 2:
+        print("skipping SVG output for 3D data", file=sys.stderr)
+    for g, ga, (before, after) in zip(groups, result.groups, svg_paths):
+        render_svg(g.members, before)
+        render_svg(ga.transformed, after)
 
     for row in rows:
         drop = 0.0
@@ -230,7 +218,7 @@ def _cmd_align(args) -> int:
             f"{row.final_normalized_cd:.6g} ({drop:.1f}% reduction, "
             f"{row.steps} steps)"
         )
-    print(f"report: {out / 'report.csv'}")
+    print(f"report: {report_path}")
     return 0
 
 
@@ -248,9 +236,19 @@ def _cmd_eval(args) -> int:
 
 def _cmd_plot(args) -> int:
     sets = [read_point_set(p) for p in args.files]
+    _refuse_overwrite(args.files, [args.out])
     render_svg(sets, args.out)
     print(f"wrote {args.out}")
     return 0
+
+
+def _widths(text: str) -> tuple[int, ...]:
+    # argparse turns a ValueError into a usage error (exit 2); a GroupAlignError
+    # passes through, so a malformed --hidden exits 1 like other bad settings.
+    try:
+        return tuple(int(tok) for tok in text.split(","))
+    except ValueError as exc:
+        raise GroupAlignError(f"--hidden: {exc}") from None
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -288,16 +286,20 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--manifest", required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--config", default=None, help="JSON file of optimizer settings")
-    p.add_argument("--steps", type=int, default=None, help="override max_steps")
+    p.add_argument("--steps", dest="max_steps", type=int, default=None)
     p.add_argument("--lambda", dest="reg_lambda", type=float, default=None)
     p.add_argument("--latent-dim", type=int, default=None)
-    p.add_argument("--hidden", default=None, help="comma-separated hidden widths")
+    p.add_argument(
+        "--hidden", type=_widths, default=None, help="comma-separated hidden widths"
+    )
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--lr-start", type=float, default=None)
     p.add_argument("--lr-end", type=float, default=None)
     p.add_argument("--lr-decay-steps", type=int, default=None)
     p.add_argument("--workers", type=int, default=None)
-    p.add_argument("--per-group-decoder", action="store_true")
+    p.add_argument(
+        "--per-group-decoder", dest="share_decoder", action="store_false", default=None
+    )
     p.add_argument("--svg", action="store_true", help="write before/after overlays")
     p.set_defaults(func=_cmd_align)
 
@@ -314,9 +316,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
     except (GroupAlignError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -131,9 +131,15 @@ def read_manifest(path: str | Path) -> GroupManifest:
     for entry in raw_groups:
         try:
             gid = str(entry["id"])
-            members = [base / m for m in entry["members"]]
+            names = entry["members"]
         except (KeyError, TypeError) as exc:
             raise ParseError(f"malformed group entry: {exc}", path=path) from exc
+        if not isinstance(names, list) or not all(isinstance(m, str) for m in names):
+            raise ParseError(
+                f"group {gid!r}: members must be a list of file names, got {names!r}",
+                path=path,
+            )
+        members = [base / m for m in names]
         # Ids name output files, so they must stay inside the output folder
         # and must not collide.
         if not gid or "/" in gid or "\\" in gid or ".." in gid:

@@ -1,3 +1,4 @@
+import argparse
 import csv
 import dataclasses
 import json
@@ -8,7 +9,8 @@ import pytest
 from groupalign import cli
 from groupalign.cli import _load_config, build_parser, main
 from groupalign.optimizer import OptimConfig, align
-from groupalign.pointio import read_manifest, read_point_set
+from groupalign.geometry import PointSet
+from groupalign.pointio import read_manifest, read_point_set, write_point_set
 
 
 def _read_report(path):
@@ -72,6 +74,16 @@ class TestSynth:
         radius = np.sqrt((member.points**2).sum(axis=1)).max()
         assert radius == pytest.approx(1.0, abs=1e-6)
 
+    @pytest.mark.parametrize(
+        "flags", [["--groups", "0"], ["--k", "1"], ["--level", "-1"]]
+    )
+    def test_bad_arguments_create_nothing(self, tmp_path, capsys, flags):
+        out = tmp_path / "data"
+        rc = main(["synth", "--out", str(out)] + flags)
+        assert rc == 1
+        assert capsys.readouterr().err.startswith("error:")
+        assert not out.exists()
+
     def test_deterministic(self, tmp_path, capsys):
         m1 = _synth(tmp_path, name="d1")
         m2 = _synth(tmp_path, name="d2")
@@ -134,6 +146,29 @@ class TestNoise:
         np.testing.assert_array_equal(
             read_point_set(after[2]).points, read_point_set(before[2]).points
         )
+
+    def test_members_with_one_file_name_stay_apart(self, tmp_path, capsys):
+        rng = np.random.default_rng(51)
+        inputs = []
+        for folder in ("a", "b"):
+            (tmp_path / folder).mkdir()
+            inputs.append(tmp_path / folder / "m.txt")
+            write_point_set(PointSet(rng.normal(size=(20, 2))), inputs[-1])
+        manifest = tmp_path / "manifest.json"
+        manifest.write_text(json.dumps(
+            {"dim": 2, "groups": [{"id": "g", "members": ["a/m.txt", "b/m.txt"]}]}
+        ))
+        out = tmp_path / "noisy"
+        rc = main(
+            ["noise", "--manifest", str(manifest), "--out", str(out),
+             "--kind", "gd", "--level", "0.05", "--members", "0"]
+        )
+        capsys.readouterr()
+        assert rc == 0
+        outputs = read_manifest(out / "manifest.json").groups[0].members
+        assert len(set(outputs)) == 2
+        assert outputs[0].read_bytes() != inputs[0].read_bytes()
+        assert outputs[1].read_bytes() == inputs[1].read_bytes()
 
 
 FAST_ALIGN = ["--steps", "40", "--latent-dim", "8", "--hidden", "12,6"]
@@ -207,6 +242,31 @@ class TestAlign:
         assert rc == 1
         assert "error:" in err
         assert "momentum" in err
+
+    def test_lambda_and_its_alias_together(self, tmp_path, capsys):
+        manifest_path = _synth(tmp_path)
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"lambda": 0.3, "reg_lambda": 0.5}))
+        rc = main(
+            ["align", "--manifest", str(manifest_path),
+             "--out", str(tmp_path / "x"), "--config", str(cfg)] + FAST_ALIGN
+        )
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert "error:" in err
+        assert "'lambda'" in err and "'reg_lambda'" in err
+        assert not (tmp_path / "x").exists()
+
+    def test_every_align_flag_is_stored_under_a_config_key(self):
+        [subparsers] = [
+            a for a in build_parser()._actions
+            if isinstance(a, argparse._SubParsersAction)
+        ]
+        for action in subparsers.choices["align"]._actions:
+            if not {"-h", "--manifest", "--out", "--config", "--svg"} & set(
+                action.option_strings
+            ):
+                assert action.dest in cli.CONFIG_KEYS, action.option_strings
 
     def test_every_config_field_is_a_config_key(self, tmp_path):
         defaults = OptimConfig()
@@ -339,6 +399,8 @@ class TestErrorPaths:
                 ["--level", "1.5", "--members", "1"],
                 ["--level", "0.2", "--members", "0,x"],
                 ["--level", "0.2", "--seed", "-1"],
+                ["--level", "0.2", "--members", "3"],
+                ["--level", "0.2", "--members", "0,-1"],
             ]
         ):
             out = tmp_path / f"n{i}"
@@ -349,6 +411,19 @@ class TestErrorPaths:
             assert rc == 1
             assert capsys.readouterr().err.startswith("error:")
             assert not out.exists()
+
+    def test_noise_reads_every_member_before_writing(self, tmp_path, capsys):
+        manifest_path = _synth(tmp_path)
+        capsys.readouterr()
+        (manifest_path.parent / "g000_m02.txt").write_text("1 2 3 4\n")
+        out = tmp_path / "n"
+        rc = main(
+            ["noise", "--manifest", str(manifest_path), "--out", str(out),
+             "--kind", "gd", "--level", "0.05"]
+        )
+        assert rc == 1
+        assert capsys.readouterr().err.startswith("error:")
+        assert not out.exists()
 
     def test_bad_config_value_writes_nothing(self, tmp_path, capsys):
         manifest_path = _synth(tmp_path)
@@ -365,19 +440,36 @@ class TestErrorPaths:
         assert "max_steps" in err
         assert not (tmp_path / "x").exists()
 
-    @pytest.mark.parametrize(
-        "command",
-        [["noise", "--kind", "gd", "--level", "0.05"], ["align"] + FAST_ALIGN],
-    )
-    def test_out_onto_the_inputs_is_refused(self, tmp_path, capsys, command):
+    def test_malformed_hidden_exits_one(self, tmp_path, capsys):
         manifest_path = _synth(tmp_path)
         capsys.readouterr()
-        data = manifest_path.parent
-        before = {p: p.read_bytes() for p in data.iterdir()}
         rc = main(
-            command[:1] + ["--manifest", str(manifest_path), "--out", str(data)]
-            + command[1:]
+            ["align", "--manifest", str(manifest_path),
+             "--out", str(tmp_path / "x"), "--hidden", "12,x"]
         )
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert err.startswith("error:")
+        assert "--hidden" in err
+        assert not (tmp_path / "x").exists()
+
+    @pytest.mark.parametrize(
+        "command",
+        [
+            ["noise", "--manifest", "{data}/manifest.json", "--out", "{data}",
+             "--kind", "gd", "--level", "0.05"],
+            ["align", "--manifest", "{data}/manifest.json", "--out", "{data}"]
+            + FAST_ALIGN,
+            ["synth", "--base", "{data}/g000_m00.txt", "--out", "{data}"],
+            ["plot", "{data}/g000_m00.txt", "{data}/g000_m01.txt",
+             "--out", "{data}/g000_m01.txt"],
+        ],
+    )
+    def test_out_onto_the_inputs_is_refused(self, tmp_path, capsys, command):
+        data = _synth(tmp_path).parent
+        capsys.readouterr()
+        before = {p: p.read_bytes() for p in data.iterdir()}
+        rc = main([arg.format(data=data) for arg in command])
         err = capsys.readouterr().err
         assert rc == 1
         assert err.startswith("error:")
@@ -436,6 +528,11 @@ class TestManifestValidation:
         groups = [self._group("g"), self._group("g")]
         err = self._run(tmp_path, capsys, {"dim": 2, "groups": groups}).err
         assert "twice" in err
+
+    def test_members_not_a_list(self, tmp_path, capsys):
+        payload = {"dim": 2, "groups": [{"id": "g", "members": "ab.txt"}]}
+        err = self._run(tmp_path, capsys, payload).err
+        assert "members must be a list" in err and "'ab.txt'" in err
 
     def test_meta_not_an_object(self, tmp_path, capsys):
         payload = {"dim": 2, "groups": [self._group("g")], "meta": 5}
