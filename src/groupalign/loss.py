@@ -105,26 +105,14 @@ def drift_penalty(drifts: np.ndarray) -> tuple[float, np.ndarray]:
     return float(norms.sum()), grad
 
 
-def _check_pairing(sets: Sequence[PointSet], drifts: Sequence[DriftField]):
-    if len(sets) != len(drifts):
-        raise ShapeMismatchError(
-            f"{len(sets)} sets but {len(drifts)} drift fields"
-        )
-    for i, (s, d) in enumerate(zip(sets, drifts)):
-        if len(s) != len(d) or s.dim != d.dim:
-            raise ShapeMismatchError(
-                f"set {i} has shape ({len(s)}, {s.dim}) but drift field "
-                f"has ({len(d)}, {d.dim})"
-            )
-
-
 def regularized_loss(
     sets: Sequence[PointSet], drifts: Sequence[DriftField], reg_lambda: float
 ) -> LossBreakdown:
     """Alignment of the drifted sets plus reg_lambda times the drift norms."""
     if reg_lambda < 0.0:
         raise ValueError(f"reg_lambda must be >= 0, got {reg_lambda}")
-    _check_pairing(sets, drifts)
+    if len(sets) != len(drifts):
+        raise ShapeMismatchError(f"{len(sets)} sets but {len(drifts)} drift fields")
     transformed = [apply_drift(s, d) for s, d in zip(sets, drifts)]
     alignment = groupwise_chamfer(transformed)
     regularizer = float(sum(drift_penalty(d.drifts)[0] for d in drifts))

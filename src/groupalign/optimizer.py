@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 import numbers
+import sys
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, fields, replace
@@ -93,6 +94,10 @@ def _check_kind(name: str, value, kind: type, wording: str) -> None:
     # bool is an Integral, but a flag where a count belongs is a mistake.
     if not isinstance(value, kind) or (isinstance(value, bool) and kind is not bool):
         raise ValueError(f"{name} must be {wording}, got {value!r}")
+    # JSON and argparse's float() both accept NaN and infinity, and a JSON
+    # integer can be too large for a float; the comparison is exact for both.
+    if kind is numbers.Real and not abs(value) <= sys.float_info.max:
+        raise ValueError(f"{name} must be finite, got {value!r}")
 
 
 @dataclass
@@ -156,10 +161,11 @@ def lr_at(step: int, cfg: OptimConfig) -> float:
 
 
 def converged(trace: Sequence[float], cfg: OptimConfig) -> bool:
-    """True when the last convergence_window losses changed by less than
-    convergence_rel_tol relative to their magnitude."""
+    """True when each of the last convergence_window step-to-step changes of
+    the loss is below convergence_rel_tol relative to the newer loss, which
+    needs convergence_window + 1 losses."""
     w = cfg.convergence_window
-    if len(trace) < w:
+    if len(trace) <= w:
         return False
     tail = list(trace[-(w + 1) :])
     for prev, cur in zip(tail[:-1], tail[1:]):
@@ -188,9 +194,10 @@ class GroupAlignment:
 class AlignmentResult:
     """Outcome of one align() call.
 
-    ``loss_trace`` has one (alignment, regularizer, total) row per step; in
-    per-group decoder mode it is the sum of the per-group traces, padded
-    with their final values when groups stop at different steps.
+    ``loss_trace`` has one (alignment, regularizer, total) row per step: the
+    sum of the decoder scopes' traces (one scope with a shared decoder, one
+    per group otherwise), each padded with its final row up to the longest.
+    ``converged_early`` holds only when every scope stopped early.
     """
 
     groups: tuple[GroupAlignment, ...]
@@ -266,6 +273,11 @@ def _align_scope(
     try:
         for step in range(cfg.max_steps):
             drifts, acts = dec.run_layers(layers, x_all, latents, starts)
+            if not np.isfinite(drifts).all():
+                raise NonFiniteError(
+                    f"drifts became non-finite at step {step}",
+                    trace=np.array(trace_rows),
+                )
             transformed = x_all + drifts
             grad_rows = np.empty_like(drifts)
 
@@ -314,6 +326,7 @@ def _align_scope(
                 final_normalized_cd=breakdown.normalized_cd,
                 final_loss=breakdown,
                 steps_run=len(trace_rows),
+                decoder_params=None if cfg.share_decoder else final_params,
             )
         )
     wall = time.perf_counter() - start_time
@@ -341,36 +354,23 @@ def align(groups: Sequence[Group], cfg: OptimConfig | None = None) -> AlignmentR
             raise EmptySetError(f"group {g.group_id!r} has an empty member")
 
     theta_seed, z_seeds = _scope_seeds(cfg, len(groups))
-
+    # One scope holds every group, or each group is a scope with the seeds
+    # of a one-group call, so it aligns exactly as it would alone.
     if cfg.share_decoder:
-        results, params, trace, early = _align_scope(groups, cfg, theta_seed, z_seeds)
-        return AlignmentResult(
-            groups=tuple(results),
-            decoder_params=params,
-            loss_trace=trace,
-            steps_run=trace.shape[0],
-            converged_early=early,
-        )
-
-    per_group: list[GroupAlignment] = []
-    traces: list[np.ndarray] = []
-    all_early = True
-    for g in groups:
-        # The seeds of a one-group call, so each group aligns exactly as it
-        # would alone.
-        results, params, trace, early = _align_scope([g], cfg, theta_seed, z_seeds[:1])
-        per_group.append(replace(results[0], decoder_params=params))
-        traces.append(trace)
-        all_early = all_early and early
+        scopes = [(groups, z_seeds)]
+    else:
+        scopes = [([g], z_seeds[:1]) for g in groups]
+    results, params, traces, early = zip(
+        *(_align_scope(scope, cfg, theta_seed, seeds) for scope, seeds in scopes)
+    )
     steps = max(t.shape[0] for t in traces)
-    combined = np.zeros((steps, 3))
+    loss_trace = np.zeros((steps, 3))
     for t in traces:
-        padded = np.vstack([t, np.repeat(t[-1:], steps - t.shape[0], axis=0)])
-        combined += padded
+        loss_trace += np.vstack([t, np.repeat(t[-1:], steps - t.shape[0], axis=0)])
     return AlignmentResult(
-        groups=tuple(per_group),
-        decoder_params=None,
-        loss_trace=combined,
+        groups=tuple(chain.from_iterable(results)),
+        decoder_params=params[0] if cfg.share_decoder else None,
+        loss_trace=loss_trace,
         steps_run=steps,
-        converged_early=all_early,
+        converged_early=all(early),
     )

@@ -440,6 +440,24 @@ class TestErrorPaths:
         assert "max_steps" in err
         assert not (tmp_path / "x").exists()
 
+    @pytest.mark.parametrize(
+        "setting", [["--lambda", "nan"], {"convergence_rel_tol": float("nan")}]
+    )
+    def test_non_finite_setting_writes_nothing(self, tmp_path, capsys, setting):
+        manifest_path = _synth(tmp_path)
+        capsys.readouterr()
+        if isinstance(setting, dict):
+            cfg = tmp_path / "cfg.json"
+            cfg.write_text(json.dumps(setting))  # written as NaN
+            setting = ["--config", str(cfg)]
+        rc = main(
+            ["align", "--manifest", str(manifest_path), "--out", str(tmp_path / "x")]
+            + FAST_ALIGN + setting
+        )
+        assert rc == 1
+        assert capsys.readouterr().err.startswith("error:")
+        assert not (tmp_path / "x").exists()
+
     def test_malformed_hidden_exits_one(self, tmp_path, capsys):
         manifest_path = _synth(tmp_path)
         capsys.readouterr()

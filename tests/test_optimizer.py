@@ -1,10 +1,11 @@
 import sys
 import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from groupalign import optimizer
+from groupalign import decoder, optimizer
 from groupalign.errors import (
     EmptySetError,
     NonFiniteError,
@@ -117,8 +118,11 @@ class TestConvergence:
         assert not converged([1.0] * (cfg.convergence_window - 1), cfg)
 
     def test_flat_trace_converges(self):
-        cfg = OptimConfig()
-        assert converged([3.7] * cfg.convergence_window, cfg)
+        """A window of w changes needs w + 1 losses."""
+        for w in (1, OptimConfig().convergence_window):
+            cfg = OptimConfig(convergence_window=w)
+            assert converged([3.7] * (w + 1), cfg)
+            assert not converged([3.7] * w, cfg)
 
     def test_decaying_trace_does_not(self):
         cfg = OptimConfig()
@@ -165,6 +169,12 @@ class TestConfig:
             {"workers": 1.5},
             {"seed": None},
             {"seed": -1},
+            {"convergence_rel_tol": float("nan")},
+            {"reg_lambda": float("nan")},
+            {"lr_start": float("inf")},
+            {"lr_start": float("inf"), "lr_end": float("inf")},
+            {"convergence_rel_tol": np.float64("inf")},
+            {"lr_start": 10**400},
         ],
     )
     def test_validation(self, kwargs):
@@ -318,7 +328,63 @@ def test_early_stop_plumbing(small_groups):
     )
     res = align([a], cfg)
     assert res.converged_early
-    assert res.steps_run == 3
+    assert res.steps_run == 4  # three changes need four losses
+
+
+def test_window_of_one_does_not_stop_at_the_first_step(small_groups):
+    a, _ = small_groups
+    cfg = OptimConfig(
+        **{**SMALL, "max_steps": 10},
+        convergence_window=1,
+        convergence_rel_tol=1e-12,
+    )
+    res = align([a], cfg)
+    assert res.steps_run == 10
+    assert not res.converged_early
+
+
+def test_per_group_result_sums_the_padded_traces(small_groups):
+    """One group stops early and the other runs to max_steps: the trace is
+    the sum of the groups' own traces, each padded with its final row."""
+    cfg = OptimConfig(
+        **SMALL,
+        share_decoder=False,
+        convergence_window=3,
+        convergence_rel_tol=1.5e-3,
+    )
+    alone = [align([g], cfg) for g in small_groups]
+    assert [r.converged_early for r in alone] == [False, True]
+    steps = [r.steps_run for r in alone]
+    assert steps[0] == cfg.max_steps > steps[1]
+    expected = np.zeros((cfg.max_steps, 3))
+    for r in alone:
+        pad = np.repeat(r.loss_trace[-1:], cfg.max_steps - r.steps_run, axis=0)
+        expected += np.vstack([r.loss_trace, pad])
+    res = align(list(small_groups), cfg)
+    np.testing.assert_array_equal(res.loss_trace, expected)
+    assert res.steps_run == cfg.max_steps
+    assert [g.steps_run for g in res.groups] == steps
+    assert not res.converged_early
+    all_early = replace(cfg, convergence_rel_tol=1e9)
+    assert align(list(small_groups), all_early).converged_early
+
+
+def test_non_finite_drifts_stop_the_run_with_its_trace(small_groups, monkeypatch):
+    calls = []
+    real = decoder.run_layers
+
+    def poisoned(*args):
+        drifts, acts = real(*args)
+        calls.append(None)
+        if len(calls) == 3:
+            drifts[0, 0] = np.nan
+        return drifts, acts
+
+    monkeypatch.setattr(decoder, "run_layers", poisoned)
+    a, _ = small_groups
+    with pytest.raises(NonFiniteError, match="step 2") as info:
+        align([a], OptimConfig(**SMALL))
+    assert info.value.trace.shape == (2, 3)
 
 
 def test_runs_to_max_steps_without_convergence(small_groups):
