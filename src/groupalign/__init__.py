@@ -19,15 +19,7 @@ from .errors import (
     SingularTpsError,
     TooFewSetsError,
 )
-from .geometry import (
-    DriftField,
-    Group,
-    GroupLatentDescriptor,
-    PointSet,
-    apply_drift,
-    init_gld,
-    normalize,
-)
+from .geometry import Group, PointSet, init_gld, normalize
 from .decoder import DecoderParams, init_params
 from .loss import (
     LossBreakdown,
@@ -78,13 +70,11 @@ __all__ = [
     "AlignmentResult",
     "DecoderParams",
     "DegenerateSetError",
-    "DriftField",
     "EmptyFileError",
     "EmptySetError",
     "Group",
     "GroupAlignError",
     "GroupAlignment",
-    "GroupLatentDescriptor",
     "GroupManifest",
     "LevelError",
     "LossBreakdown",
@@ -105,7 +95,6 @@ __all__ = [
     "add_gaussian_displacement",
     "add_outlier_noise",
     "align",
-    "apply_drift",
     "apply_noise",
     "blob_shape",
     "converged",

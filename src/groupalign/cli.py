@@ -15,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import GroupAlignError
+from .errors import GroupAlignError, NonFiniteError
 from .geometry import PointSet, normalize
 from .loss import normalized_cd
 from .optimizer import OptimConfig, align
@@ -179,7 +179,12 @@ def _cmd_align(args) -> int:
     _refuse_overwrite(inputs, outputs)
     out.mkdir(parents=True, exist_ok=True)
 
-    result = align(groups, cfg)
+    try:
+        result = align(groups, cfg)
+    except NonFiniteError as err:
+        # Keep the losses gathered before the failure; main() reports it.
+        write_loss_trace([] if err.trace is None else err.trace, trace_path)
+        raise
 
     aligned_groups = []
     rows = []

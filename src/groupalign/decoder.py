@@ -14,7 +14,6 @@ from typing import Sequence
 import numpy as np
 
 from .errors import NonFiniteError, ShapeMismatchError
-from .geometry import DriftField, GroupLatentDescriptor, PointSet
 
 Layer = tuple[np.ndarray, np.ndarray]  # weight (out, in), bias (out,)
 
@@ -49,14 +48,6 @@ class DecoderParams:
             frozen.append((w, b))
         object.__setattr__(self, "layers", tuple(frozen))
 
-    @property
-    def in_width(self) -> int:
-        return self.layers[0][0].shape[1]
-
-    @property
-    def out_width(self) -> int:
-        return self.layers[-1][0].shape[0]
-
 
 def init_params(
     dim: int, latent_dim: int, hidden: Sequence[int], seed: int
@@ -90,12 +81,15 @@ def run_layers(
     dim = coords.shape[1]
     counts = np.diff(starts, append=coords.shape[0])
     segment_bias = latents @ weight[:, dim:].T + bias
-    h = coords @ weight[:, :dim].T + np.repeat(segment_bias, counts, axis=0)
+    # Biases and ReLUs apply in place; each layer allocates its matmul only.
+    h = coords @ weight[:, :dim].T
+    h += np.repeat(segment_bias, counts, axis=0)
     acts = [coords]
     for weight, bias in layers[1:]:
-        h = np.maximum(h, 0.0)
+        np.maximum(h, 0.0, out=h)
         acts.append(h)
-        h = h @ weight.T + bias
+        h = h @ weight.T
+        h += bias
     return h, tuple(acts)
 
 
@@ -129,17 +123,19 @@ def run_layers_backward(
 
 
 def forward(
-    params: DecoderParams, z: GroupLatentDescriptor, ps: PointSet
-) -> DriftField:
-    """Decode one drift vector per point from [coords, latent]."""
-    if ps.dim + z.latent_dim != params.in_width:
+    layers: Sequence[Layer],
+    coords: np.ndarray,
+    latents: np.ndarray,
+    starts: Sequence[int],
+) -> np.ndarray:
+    """Checked ``run_layers``: the drifts only, one row per coordinate row."""
+    dim = coords.shape[1]
+    in_width, out_width = layers[0][0].shape[1], layers[-1][0].shape[0]
+    if latents.ndim != 2 or (dim + latents.shape[1], dim, len(starts)) != (
+        in_width, out_width, latents.shape[0]
+    ):
         raise ShapeMismatchError(
-            f"decoder expects {params.in_width} inputs per point, got "
-            f"dim {ps.dim} + latent {z.latent_dim}"
+            f"decoder maps {in_width} inputs to {out_width}D drifts, got {dim}D "
+            f"points, latents of shape {latents.shape} and {len(starts)} segments"
         )
-    if params.out_width != ps.dim:
-        raise ShapeMismatchError(
-            f"decoder produces {params.out_width}D drifts for a {ps.dim}D point set"
-        )
-    drifts, _ = run_layers(params.layers, ps.points, z.values[None, :], [0])
-    return DriftField(drifts)
+    return run_layers(layers, coords, latents, starts)[0]

@@ -1,6 +1,7 @@
-"""Core value types: point sets, groups, latent descriptors, drift fields.
+"""Core value types (point sets and groups), normalization, and the
+initial group latent descriptor.
 
-All types are immutable after construction (arrays are copied and marked
+Both types are immutable after construction (arrays are copied and marked
 read-only), which keeps them safe to share across groups and steps.
 """
 from __future__ import annotations
@@ -23,14 +24,6 @@ VALID_DIMS = (2, 3)
 GLD_INIT_STD = 0.1
 
 
-def _frozen_array(values, name: str) -> np.ndarray:
-    arr = np.array(values, dtype=np.float64)
-    if not np.isfinite(arr).all():
-        raise NonFiniteError(f"{name} contains non-finite values")
-    arr.setflags(write=False)
-    return arr
-
-
 @dataclass(frozen=True, eq=False)
 class PointSet:
     """An ordered set of 2D or 3D points, shape (N, dim)."""
@@ -38,12 +31,15 @@ class PointSet:
     points: np.ndarray
 
     def __post_init__(self):
-        arr = np.asarray(self.points, dtype=np.float64)
+        arr = np.array(self.points, dtype=np.float64)
         if arr.ndim != 2 or arr.shape[1] not in VALID_DIMS:
             raise ShapeMismatchError(
                 f"points must have shape (N, 2) or (N, 3), got {arr.shape}"
             )
-        object.__setattr__(self, "points", _frozen_array(arr, "points"))
+        if not np.isfinite(arr).all():
+            raise NonFiniteError("points contain non-finite values")
+        arr.setflags(write=False)
+        object.__setattr__(self, "points", arr)
 
     @property
     def dim(self) -> int:
@@ -51,47 +47,6 @@ class PointSet:
 
     def __len__(self) -> int:
         return self.points.shape[0]
-
-
-@dataclass(frozen=True, eq=False)
-class DriftField:
-    """Per-point displacement vectors aligned with one PointSet."""
-
-    drifts: np.ndarray
-
-    def __post_init__(self):
-        arr = np.asarray(self.drifts, dtype=np.float64)
-        if arr.ndim != 2 or arr.shape[1] not in VALID_DIMS:
-            raise ShapeMismatchError(
-                f"drifts must have shape (N, 2) or (N, 3), got {arr.shape}"
-            )
-        object.__setattr__(self, "drifts", _frozen_array(arr, "drifts"))
-
-    @property
-    def dim(self) -> int:
-        return self.drifts.shape[1]
-
-    def __len__(self) -> int:
-        return self.drifts.shape[0]
-
-
-@dataclass(frozen=True, eq=False)
-class GroupLatentDescriptor:
-    """The optimizable latent vector shared by all members of one group."""
-
-    values: np.ndarray
-
-    def __post_init__(self):
-        arr = np.asarray(self.values, dtype=np.float64)
-        if arr.ndim != 1 or arr.shape[0] < 1:
-            raise ShapeMismatchError(
-                f"latent values must be a non-empty 1D array, got shape {arr.shape}"
-            )
-        object.__setattr__(self, "values", _frozen_array(arr, "latent values"))
-
-    @property
-    def latent_dim(self) -> int:
-        return self.values.shape[0]
 
 
 @dataclass(frozen=True, eq=False)
@@ -138,22 +93,9 @@ def normalize(ps: PointSet) -> PointSet:
     return PointSet(centered / radius)
 
 
-def apply_drift(ps: PointSet, field: DriftField) -> PointSet:
-    """Translate each point by its drift vector."""
-    if len(ps) != len(field):
-        raise ShapeMismatchError(
-            f"point set has {len(ps)} points but drift field has {len(field)}"
-        )
-    if ps.dim != field.dim:
-        raise ShapeMismatchError(
-            f"point set is {ps.dim}D but drift field is {field.dim}D"
-        )
-    return PointSet(ps.points + field.drifts)
-
-
-def init_gld(latent_dim: int, seed: int) -> GroupLatentDescriptor:
+def init_gld(latent_dim: int, seed: int) -> np.ndarray:
     """Draw a fresh latent descriptor from N(0, 0.01) per entry."""
     if latent_dim < 1:
         raise ValueError(f"latent_dim must be >= 1, got {latent_dim}")
     rng = np.random.default_rng(int(seed))
-    return GroupLatentDescriptor(rng.normal(0.0, GLD_INIT_STD, latent_dim))
+    return rng.normal(0.0, GLD_INIT_STD, latent_dim)

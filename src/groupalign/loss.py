@@ -17,23 +17,23 @@ import numpy as np
 from scipy.spatial import cKDTree
 
 from .errors import EmptySetError, ShapeMismatchError, TooFewSetsError
-from .geometry import DriftField, PointSet, apply_drift
+from .geometry import PointSet
 
 
-def _as_arrays(sets: Sequence[PointSet]) -> list[np.ndarray]:
-    if len(sets) < 2:
-        raise TooFewSetsError(f"need at least 2 sets, got {len(sets)}")
-    dims = {s.dim for s in sets}
+def _checked(arrays: list[np.ndarray]) -> list[np.ndarray]:
+    if len(arrays) < 2:
+        raise TooFewSetsError(f"need at least 2 sets, got {len(arrays)}")
+    dims = {a.shape[1] for a in arrays}
     if len(dims) != 1:
         raise ShapeMismatchError(f"sets mix dimensionalities: {dims}")
-    if any(len(s) == 0 for s in sets):
+    if any(a.shape[0] == 0 for a in arrays):
         raise EmptySetError("groupwise loss needs non-empty sets")
-    return [s.points for s in sets]
+    return arrays
 
 
 def groupwise_chamfer(sets: Sequence[PointSet]) -> float:
     """Sum of pairwise Chamfer distances over all ordered pairs of sets."""
-    return alignment_terms(_as_arrays(sets))[0]
+    return alignment_terms(_checked([s.points for s in sets]))[0]
 
 
 def _per_pair_point(total: float, sets: Sequence) -> float:
@@ -106,19 +106,23 @@ def drift_penalty(drifts: np.ndarray) -> tuple[float, np.ndarray]:
 
 
 def regularized_loss(
-    sets: Sequence[PointSet], drifts: Sequence[DriftField], reg_lambda: float
+    arrays: Sequence[np.ndarray], drifts: Sequence[np.ndarray], reg_lambda: float
 ) -> LossBreakdown:
-    """Alignment of the drifted sets plus reg_lambda times the drift norms."""
+    """Alignment of the drifted point arrays plus reg_lambda times the
+    drift norms; each drift array has its point array's shape."""
     if reg_lambda < 0.0:
         raise ValueError(f"reg_lambda must be >= 0, got {reg_lambda}")
-    if len(sets) != len(drifts):
-        raise ShapeMismatchError(f"{len(sets)} sets but {len(drifts)} drift fields")
-    transformed = [apply_drift(s, d) for s, d in zip(sets, drifts)]
-    alignment = groupwise_chamfer(transformed)
-    regularizer = float(sum(drift_penalty(d.drifts)[0] for d in drifts))
+    if len(arrays) != len(drifts):
+        raise ShapeMismatchError(f"{len(arrays)} arrays but {len(drifts)} drift arrays")
+    for a, d in zip(arrays, drifts):
+        if a.shape != d.shape:
+            raise ShapeMismatchError(f"points {a.shape} but drifts {d.shape}")
+    moved = _checked([a + d for a, d in zip(arrays, drifts)])
+    alignment = alignment_terms(moved)[0]
+    regularizer = float(sum(drift_penalty(d)[0] for d in drifts))
     return LossBreakdown(
         alignment=alignment,
         regularizer=regularizer,
         total=alignment + reg_lambda * regularizer,
-        normalized_cd=_per_pair_point(alignment, sets),
+        normalized_cd=_per_pair_point(alignment, arrays),
     )

@@ -17,21 +17,14 @@ import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, fields, replace
 from itertools import chain
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
 from . import decoder as dec
 from . import loss as losses
 from .errors import EmptySetError, NonFiniteError, ShapeMismatchError, TooFewSetsError
-from .geometry import (
-    DriftField,
-    Group,
-    GroupLatentDescriptor,
-    PointSet,
-    apply_drift,
-    init_gld,
-)
+from .geometry import Group, PointSet, init_gld
 
 
 BETA1, BETA2, EPSILON = 0.9, 0.999, 1e-8
@@ -176,12 +169,12 @@ def converged(trace: Sequence[float], cfg: OptimConfig) -> bool:
 
 @dataclass(frozen=True, eq=False)
 class GroupAlignment:
-    """Per-group outcome: drifted members, fields, latent, and metrics."""
+    """Per-group outcome: drifted members, read-only drift and latent arrays."""
 
     group_id: str
     transformed: tuple[PointSet, ...]
-    drifts: tuple[DriftField, ...]
-    latent: GroupLatentDescriptor
+    drifts: tuple[np.ndarray, ...]
+    latent: np.ndarray
     initial_normalized_cd: float
     final_normalized_cd: float
     final_loss: losses.LossBreakdown
@@ -215,6 +208,51 @@ def _scope_seeds(cfg: OptimConfig, n_groups: int) -> tuple[int, list[int]]:
     return int(state[0]), [int(s) for s in state[1:]]
 
 
+def _objective(
+    layers: Sequence[dec.Layer],
+    latents: np.ndarray,
+    x_all: np.ndarray,
+    starts: Sequence[int],
+    groups_members: Sequence[Sequence[slice]],
+    reg_lambda: float,
+    map_groups: Callable = map,
+) -> tuple[float, float, list[dec.Layer], np.ndarray]:
+    """The regularized loss over one row layout and its gradients.
+
+    Rows from starts[s] up to the next start decode with latents[s]. Each
+    entry of groups_members holds one loss group's contiguous member slices.
+    Returns the alignment and penalty totals, each layer's (dW, db) and one
+    gradient row per latent; raises NonFiniteError on non-finite drifts or loss.
+    """
+    drifts, acts = dec.run_layers(layers, x_all, latents, starts)
+    if not np.isfinite(drifts).all():
+        raise NonFiniteError("drifts became non-finite")
+    transformed = x_all + drifts
+    grad_rows = np.empty_like(drifts)
+
+    def group_loss(members):
+        """One loss group's values; writes only that group's rows of
+        grad_rows, so the pool's tasks never share a row."""
+        rows = slice(members[0].start, members[-1].stop)
+        views = [transformed[s] for s in members]
+        align_val, align_grads = losses.alignment_terms(views)
+        reg_val, reg_grad = losses.drift_penalty(drifts[rows])
+        grad_rows[rows] = np.concatenate(align_grads) + reg_lambda * reg_grad
+        return align_val, reg_val
+
+    align_total = 0.0
+    reg_total = 0.0
+    for a_val, r_val in map_groups(group_loss, groups_members):
+        align_total += a_val
+        reg_total += r_val
+    if not math.isfinite(align_total + reg_lambda * reg_total):
+        raise NonFiniteError("loss became non-finite")
+    d_layers, d_latents = dec.run_layers_backward(
+        layers, acts, grad_rows, latents, starts
+    )
+    return align_total, reg_total, d_layers, d_latents
+
+
 def _align_scope(
     groups: Sequence[Group],
     cfg: OptimConfig,
@@ -228,21 +266,15 @@ def _align_scope(
 
     # Row layout: members of each group stacked contiguously; group g's
     # rows start at starts[g] and are decoded with latents[g].
-    coords = []
-    group_slices: list[slice] = []
     member_slices: list[list[slice]] = []
     row = 0
     for g in groups:
-        start = row
-        slices = []
+        member_slices.append([])
         for m in g.members:
-            coords.append(m.points)
-            slices.append(slice(row, row + len(m)))
+            member_slices[-1].append(slice(row, row + len(m)))
             row += len(m)
-        group_slices.append(slice(start, row))
-        member_slices.append(slices)
-    x_all = np.vstack(coords)
-    starts = np.array([sl.start for sl in group_slices])
+    x_all = np.vstack([m.points for g in groups for m in g.members])
+    starts = np.array([slices[0].start for slices in member_slices])
 
     # The only copy of the variables, updated in place by Adam: the
     # decoder's (W, b) pairs and one latent row per group.
@@ -250,7 +282,7 @@ def _align_scope(
         (np.array(w), np.array(b))
         for w, b in dec.init_params(dim, latent, cfg.hidden, theta_seed).layers
     ]
-    latents = np.stack([init_gld(latent, s).values for s in z_seeds])
+    latents = np.stack([init_gld(latent, s) for s in z_seeds])
     variables = [*chain.from_iterable(layers), *latents]
     states = [AdamState.for_variable(v) for v in variables]
 
@@ -258,45 +290,21 @@ def _align_scope(
     pool = ThreadPoolExecutor(workers) if workers > 1 else None
     map_groups = map if pool is None else pool.map
 
-    def group_loss(i):
-        """Group i's loss values for this step's drifts. Writes the group's
-        own rows of grad_rows, so the pool's tasks never share a row."""
-        rows = group_slices[i]
-        views = [transformed[s] for s in member_slices[i]]
-        align_val, align_grads = losses.alignment_terms(views)
-        reg_val, reg_grad = losses.drift_penalty(drifts[rows])
-        grad_rows[rows] = np.concatenate(align_grads) + cfg.reg_lambda * reg_grad
-        return align_val, reg_val
-
     trace_rows: list[tuple[float, float, float]] = []
     early = False
     try:
         for step in range(cfg.max_steps):
-            drifts, acts = dec.run_layers(layers, x_all, latents, starts)
-            if not np.isfinite(drifts).all():
-                raise NonFiniteError(
-                    f"drifts became non-finite at step {step}",
-                    trace=np.array(trace_rows),
+            try:
+                align_total, reg_total, d_layers, d_latents = _objective(
+                    layers, latents, x_all, starts, member_slices,
+                    cfg.reg_lambda, map_groups,
                 )
-            transformed = x_all + drifts
-            grad_rows = np.empty_like(drifts)
-
-            align_total = 0.0
-            reg_total = 0.0
-            for a_val, r_val in map_groups(group_loss, range(len(groups))):
-                align_total += a_val
-                reg_total += r_val
+            except NonFiniteError as err:
+                raise NonFiniteError(
+                    f"{err} at step {step}", trace=np.array(trace_rows)
+                ) from None
             total = align_total + cfg.reg_lambda * reg_total
-            if not math.isfinite(total):
-                raise NonFiniteError(
-                    f"loss became non-finite at step {step}",
-                    trace=np.array(trace_rows),
-                )
             trace_rows.append((align_total, reg_total, total))
-
-            d_layers, d_latents = dec.run_layers_backward(
-                layers, acts, grad_rows, latents, starts
-            )
             lr = lr_at(step, cfg)
             gradients = chain(chain.from_iterable(d_layers), d_latents)
             for state, var, grad in zip(states, variables, gradients, strict=True):
@@ -309,19 +317,26 @@ def _align_scope(
         if pool is not None:
             pool.shutdown()
 
+    # Finalize on the same row layout: one batched decode, then each
+    # group's loss on plain arrays.
+    drifts = dec.forward(layers, x_all, latents, starts)
+    if not np.isfinite(drifts).all():
+        raise NonFiniteError("final drifts are non-finite", trace=np.array(trace_rows))
+    drifts.setflags(write=False)
+    latents.setflags(write=False)
     final_params = dec.DecoderParams(tuple(layers))
     results = []
-    for i, g in enumerate(groups):
-        z = GroupLatentDescriptor(latents[i])
-        drift_fields = [dec.forward(final_params, z, m) for m in g.members]
-        moved = [apply_drift(m, f) for m, f in zip(g.members, drift_fields)]
-        breakdown = losses.regularized_loss(g.members, drift_fields, cfg.reg_lambda)
+    for i, (g, slices) in enumerate(zip(groups, member_slices)):
+        member_drifts = tuple(drifts[s] for s in slices)
+        breakdown = losses.regularized_loss(
+            [m.points for m in g.members], member_drifts, cfg.reg_lambda
+        )
         results.append(
             GroupAlignment(
                 group_id=g.group_id,
-                transformed=tuple(moved),
-                drifts=tuple(drift_fields),
-                latent=z,
+                transformed=tuple(PointSet(x_all[s] + drifts[s]) for s in slices),
+                drifts=member_drifts,
+                latent=latents[i],
                 initial_normalized_cd=losses.normalized_cd(g.members),
                 final_normalized_cd=breakdown.normalized_cd,
                 final_loss=breakdown,

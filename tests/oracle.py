@@ -75,6 +75,41 @@ def alignment_value(arrays):
     return float(total)
 
 
+def relu_net(arrays, inputs):
+    """An MLP on explicit input rows; arrays alternate W, b, and every
+    layer but the last is followed by a ReLU."""
+    h = inputs
+    for i in range(0, len(arrays) - 2, 2):
+        h = np.maximum(h @ arrays[i].T + arrays[i + 1], 0.0)
+    return h @ arrays[-2].T + arrays[-1]
+
+
+def relu_margin(arrays, inputs):
+    """Smallest |pre-activation| of any ReLU in relu_net: how far the
+    nearest gate is from flipping."""
+    h = inputs
+    margin = np.inf
+    for i in range(0, len(arrays) - 2, 2):
+        pre = h @ arrays[i].T + arrays[i + 1]
+        margin = min(margin, float(np.abs(pre).min()))
+        h = np.maximum(pre, 0.0)
+    return margin
+
+
+def nn_margin(arrays):
+    """Smallest gap between a point's nearest and second-nearest distance
+    in another array: how far the nearest-neighbor assignment is from
+    flipping. A one-row array has one candidate and never flips."""
+    margin = np.inf
+    for i, a in enumerate(arrays):
+        for j, b in enumerate(arrays):
+            if i == j or b.shape[0] < 2:
+                continue
+            sq = np.sort(((a[:, None, :] - b[None, :, :]) ** 2).sum(axis=2), axis=1)
+            margin = min(margin, float((np.sqrt(sq[:, 1]) - np.sqrt(sq[:, 0])).min()))
+    return margin
+
+
 def adam_sequence(grads, lr, x0=0.0, beta1=0.9, beta2=0.999, eps=1e-8):
     """Scalar Adam run by hand over a gradient sequence."""
     m = 0.0

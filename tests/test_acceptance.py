@@ -14,10 +14,10 @@ import pytest
 
 import oracle
 from groupalign.cli import main
-from groupalign.decoder import init_params, run_layers, run_layers_backward
+from groupalign.decoder import forward, init_params
 from groupalign.geometry import Group, PointSet, init_gld
 from groupalign.loss import _nearest, alignment_terms, drift_penalty, groupwise_chamfer
-from groupalign.optimizer import OptimConfig, align
+from groupalign.optimizer import OptimConfig, _objective, align
 from groupalign.pointio import read_manifest
 from groupalign.shapes import blob_shape, fish_shape
 from groupalign.synthesis import NoiseSpec, apply_noise, make_group
@@ -36,35 +36,6 @@ def _reduction(ga):
 def _report_rows(path):
     with open(path, newline="") as fh:
         return list(csv.reader(fh))
-
-
-def _relu_net(arrays, inputs):
-    # shares no code with the decoder module; arrays alternate W, b
-    h = inputs
-    for i in range(0, len(arrays) - 2, 2):
-        h = np.maximum(h @ arrays[i].T + arrays[i + 1], 0.0)
-    return h @ arrays[-2].T + arrays[-1]
-
-
-def _relu_margin(arrays, inputs):
-    h = inputs
-    margin = np.inf
-    for i in range(0, len(arrays) - 2, 2):
-        pre = h @ arrays[i].T + arrays[i + 1]
-        margin = min(margin, float(np.abs(pre).min()))
-        h = np.maximum(pre, 0.0)
-    return margin
-
-
-def _nn_margin(arrays):
-    margin = np.inf
-    for i, a in enumerate(arrays):
-        for j, b in enumerate(arrays):
-            if i == j:
-                continue
-            sq = np.sort(((a[:, None, :] - b[None, :, :]) ** 2).sum(axis=2), axis=1)
-            margin = min(margin, float((np.sqrt(sq[:, 1]) - np.sqrt(sq[:, 0])).min()))
-    return margin
 
 
 def test_c01_analytic_gradients_match_finite_differences():
@@ -90,32 +61,32 @@ def test_c01_analytic_gradients_match_finite_differences():
         # Rows stacked member after member, one latent per row segment,
         # as the optimizer lays out a scope.
         stacked = [
-            np.hstack([s.points, np.broadcast_to(z.values, (len(s), 8))])
+            np.hstack([s.points, np.broadcast_to(z, (len(s), 8))])
             for s, z in zip(sets, zs)
         ]
         segments = [slice(10 * m, 10 * (m + 1)) for m in range(3)]
         starts = [seg.start for seg in segments]
         coords = np.vstack([s.points for s in sets])
-        latents = np.stack([z.values for z in zs])
-        drifts, acts = run_layers(params.layers, coords, latents, starts)
+        latents = np.stack(zs)
+        drifts = forward(params.layers, coords, latents, starts)
         moved = coords + drifts
-        if _nn_margin([moved[seg] for seg in segments]) < 3e-3:
+        if oracle.nn_margin([moved[seg] for seg in segments]) < 3e-3:
             continue
         if np.linalg.norm(drifts, axis=1).min() < 3e-3:
             continue
-        if min(_relu_margin(arrays, inp) for inp in stacked) < 1e-3:
+        if min(oracle.relu_margin(arrays, inp) for inp in stacked) < 1e-3:
             continue
 
-        _, align_grads = alignment_terms([moved[seg] for seg in segments])
-        upstream = np.vstack(align_grads) + lam * drift_penalty(drifts)[1]
-        d_layers, d_latents = run_layers_backward(
-            params.layers, acts, upstream, latents, starts
+        # One latent segment per member, and the three members in one
+        # loss group.
+        _, _, d_layers, d_latents = _objective(
+            params.layers, latents, coords, starts, [segments], lam
         )
         acc = [a for pair in d_layers for a in pair]
         z_grads = list(d_latents)
 
         def objective(perturbed, slot):
-            swapped = arrays + [z.values for z in zs]
+            swapped = arrays + zs
             swapped[slot] = perturbed
             net, lats = swapped[: len(arrays)], swapped[len(arrays):]
             reg = 0.0
@@ -124,12 +95,12 @@ def test_c01_analytic_gradients_match_finite_differences():
                 inp = np.empty((len(s), 2 + 8))
                 inp[:, :2] = s.points
                 inp[:, 2:] = z
-                d = _relu_net(net, inp)
+                d = oracle.relu_net(net, inp)
                 reg += np.sqrt((d * d).sum(axis=1)).sum()
                 out.append(s.points + d)
             return oracle.alignment_value(out) + lam * reg
 
-        variables = arrays + [z.values for z in zs]
+        variables = arrays + zs
         analytic = acc + z_grads
         for slot, (var, ana) in enumerate(zip(variables, analytic)):
             fd = oracle.central_difference(lambda v: objective(v, slot), var, h)
@@ -343,7 +314,7 @@ def test_c11_identical_members_stay_put():
         OptimConfig(max_steps=500),
     )
     g = res.groups[0]
-    norms = np.concatenate([np.linalg.norm(d.drifts, axis=1) for d in g.drifts])
+    norms = np.concatenate([np.linalg.norm(d, axis=1) for d in g.drifts])
     ok = float(norms.mean()) < 0.05 and g.final_normalized_cd < 1e-4
     _verdict(
         "identity stability",

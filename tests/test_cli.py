@@ -2,11 +2,12 @@ import argparse
 import csv
 import dataclasses
 import json
+import math
 
 import numpy as np
 import pytest
 
-from groupalign import cli
+from groupalign import cli, decoder
 from groupalign.cli import _load_config, build_parser, main
 from groupalign.optimizer import OptimConfig, align
 from groupalign.geometry import PointSet
@@ -470,6 +471,49 @@ class TestErrorPaths:
         assert err.startswith("error:")
         assert "--hidden" in err
         assert not (tmp_path / "x").exists()
+
+    def test_diverging_run_keeps_its_loss_trace(self, tmp_path, capsys):
+        """A run stopped by non-finite drifts writes the losses gathered
+        before the failure, and nothing else, then exits 1."""
+        manifest_path = _synth(tmp_path)
+        capsys.readouterr()
+        out = tmp_path / "x"
+        # The decoder overflows on the way to the non-finite drifts.
+        with pytest.warns(RuntimeWarning, match="overflow"):
+            rc = main(
+                ["align", "--manifest", str(manifest_path), "--out", str(out),
+                 "--lr-start", "1e100", "--lr-end", "1e100", "--steps", "20",
+                 "--latent-dim", "8", "--hidden", "12,6"]
+            )
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert err.startswith("error:") and "non-finite" in err
+        assert [p.name for p in out.iterdir()] == ["loss_trace.csv"]
+        rows = _read_report(out / "loss_trace.csv")
+        assert rows[0] == ["step", "alignment", "regularizer", "total"]
+        assert 2 <= len(rows) <= 20
+        assert all(math.isfinite(float(v)) for row in rows[1:] for v in row)
+
+    def test_failure_at_the_first_step_writes_a_header_only_trace(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        real = decoder.run_layers
+
+        def poisoned(*args):
+            drifts, acts = real(*args)
+            drifts[0, 0] = np.nan
+            return drifts, acts
+
+        monkeypatch.setattr(decoder, "run_layers", poisoned)
+        manifest_path = _synth(tmp_path)
+        capsys.readouterr()
+        out = tmp_path / "x"
+        rc = main(["align", "--manifest", str(manifest_path), "--out", str(out)] + FAST_ALIGN)
+        assert rc == 1
+        assert "step 0" in capsys.readouterr().err
+        assert _read_report(out / "loss_trace.csv") == [
+            ["step", "alignment", "regularizer", "total"]
+        ]
 
     @pytest.mark.parametrize(
         "command",

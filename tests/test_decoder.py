@@ -9,7 +9,6 @@ from groupalign.decoder import (
     run_layers_backward,
 )
 from groupalign.errors import NonFiniteError, ShapeMismatchError
-from groupalign.geometry import GroupLatentDescriptor, PointSet
 
 from oracle import central_difference
 
@@ -22,8 +21,6 @@ def test_init_shapes_match_widths():
         ((64, 128), (64,)),
         ((2, 64), (2,)),
     ]
-    assert params.in_width == 258
-    assert params.out_width == 2
     for _, b in params.layers:
         np.testing.assert_array_equal(b, 0.0)
 
@@ -75,11 +72,9 @@ def test_zero_params_give_zero_drift():
         (np.zeros((4, 5)), np.zeros(4)),
         (np.zeros((2, 4)), np.zeros(2)),
     )
-    params = DecoderParams(layers)
-    z = GroupLatentDescriptor(np.ones(3))
-    ps = PointSet(np.random.default_rng(0).normal(size=(6, 2)))
-    field = forward(params, z, ps)
-    np.testing.assert_array_equal(field.drifts, 0.0)
+    coords = np.random.default_rng(0).normal(size=(6, 2))
+    drifts = forward(DecoderParams(layers).layers, coords, np.ones((1, 3)), [0])
+    np.testing.assert_array_equal(drifts, 0.0)
 
 
 class TestHandComputedCore:
@@ -137,10 +132,8 @@ def test_public_forward_hand_case():
     params = DecoderParams(
         ((np.array([[1.0, 0.0, 1.0], [0.0, 1.0, -1.0]]), np.array([0.1, -0.1])),)
     )
-    z = GroupLatentDescriptor(np.array([2.0]))
-    ps = PointSet(np.array([[0.5, -0.25]]))
-    field = forward(params, z, ps)
-    np.testing.assert_allclose(field.drifts, [[2.6, -2.35]], atol=1e-15)
+    drifts = forward(params.layers, np.array([[0.5, -0.25]]), np.array([[2.0]]), [0])
+    np.testing.assert_allclose(drifts, [[2.6, -2.35]], atol=1e-15)
 
 
 def test_backward_linear_in_upstream():
@@ -160,14 +153,14 @@ def test_backward_linear_in_upstream():
 
 def test_forward_rows_are_independent():
     """Each point decodes on its own: permuting rows permutes drifts."""
-    params = init_params(2, 5, (7, 4), seed=13)
-    z = GroupLatentDescriptor(np.random.default_rng(14).normal(0, 0.1, 5))
+    layers = init_params(2, 5, (7, 4), seed=13).layers
+    z = np.random.default_rng(14).normal(0, 0.1, (1, 5))
     pts = np.random.default_rng(15).normal(size=(8, 2))
     perm = np.random.default_rng(16).permutation(8)
-    direct = forward(params, z, PointSet(pts)).drifts
-    permuted = forward(params, z, PointSet(pts[perm])).drifts
+    direct = forward(layers, pts, z, [0])
+    permuted = forward(layers, pts[perm], z, [0])
     np.testing.assert_array_equal(permuted, direct[perm])
-    duplicated = forward(params, z, PointSet(np.vstack([pts[:1], pts[:1]]))).drifts
+    duplicated = forward(layers, np.vstack([pts[:1], pts[:1]]), z, [0])
     np.testing.assert_array_equal(duplicated[0], duplicated[1])
 
 
@@ -284,12 +277,16 @@ def test_segments_of_unequal_length_match_concatenated_rows():
 
 
 def test_shape_mismatch_errors():
-    params = init_params(2, 6, (8,), seed=17)
-    z_ok = GroupLatentDescriptor(np.zeros(6))
-    z_bad = GroupLatentDescriptor(np.zeros(5))
-    ps2 = PointSet(np.zeros((3, 2)))
-    ps3 = PointSet(np.zeros((3, 3)))
-    with pytest.raises(ShapeMismatchError):
-        forward(params, z_bad, ps2)
-    with pytest.raises(ShapeMismatchError):
-        forward(params, z_ok, ps3)
+    """Latent width, point dim, latent count and latent rank are checked."""
+    layers = init_params(2, 6, (8,), seed=17).layers
+    pts2, pts3 = np.zeros((3, 2)), np.zeros((3, 3))
+    z_ok, z_bad = np.zeros((1, 6)), np.zeros((1, 5))
+    assert forward(layers, pts2, z_ok, [0]).shape == (3, 2)
+    for coords, latents, starts in (
+        (pts2, z_bad, [0]),
+        (pts3, z_ok, [0]),
+        (pts2, np.zeros((2, 6)), [0]),
+        (pts2, np.zeros(6), [0]),
+    ):
+        with pytest.raises(ShapeMismatchError):
+            forward(layers, coords, latents, starts)

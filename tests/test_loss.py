@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from groupalign.errors import EmptySetError, ShapeMismatchError, TooFewSetsError
-from groupalign.geometry import DriftField, PointSet
+from groupalign.geometry import PointSet
 from groupalign.loss import (
     _nearest,
     alignment_terms,
@@ -147,8 +147,8 @@ class TestGroupwise:
 class TestRegularizedLoss:
     def _random_case(self, seed, k=3, n=12, dim=2):
         rng = np.random.default_rng(seed)
-        sets = [PointSet(rng.uniform(-1, 1, (n, dim))) for _ in range(k)]
-        drifts = [DriftField(rng.normal(0, 0.1, (n, dim))) for _ in range(k)]
+        sets = [rng.uniform(-1, 1, (n, dim)) for _ in range(k)]
+        drifts = [rng.normal(0, 0.1, (n, dim)) for _ in range(k)]
         return sets, drifts
 
     def test_breakdown_identity(self):
@@ -163,9 +163,7 @@ class TestRegularizedLoss:
 
     def test_alignment_is_on_transformed_sets(self):
         sets, drifts = self._random_case(39)
-        moved = [
-            PointSet(s.points + d.drifts) for s, d in zip(sets, drifts)
-        ]
+        moved = [PointSet(s + d) for s, d in zip(sets, drifts)]
         b = regularized_loss(sets, drifts, 0.1)
         assert b.alignment == pytest.approx(groupwise_chamfer(moved), rel=1e-12)
         assert b.normalized_cd == pytest.approx(normalized_cd(moved), rel=1e-12)
@@ -173,7 +171,7 @@ class TestRegularizedLoss:
     def test_regularizer_is_sum_of_norms(self):
         sets, drifts = self._random_case(40)
         b = regularized_loss(sets, drifts, 1.0)
-        expected = sum(np.linalg.norm(d.drifts, axis=1).sum() for d in drifts)
+        expected = sum(np.linalg.norm(d, axis=1).sum() for d in drifts)
         assert b.regularizer == pytest.approx(expected, rel=1e-12)
 
     def test_monotone_in_lambda(self):
@@ -185,6 +183,9 @@ class TestRegularizedLoss:
         sets, drifts = self._random_case(42)
         with pytest.raises(ShapeMismatchError):
             regularized_loss(sets, drifts[:2], 0.1)
+        for bad in (drifts[0][:-1], drifts[0][:, :1], np.zeros((12, 3))):
+            with pytest.raises(ShapeMismatchError):
+                regularized_loss(sets, [bad, *drifts[1:]], 0.1)
         with pytest.raises(ValueError):
             regularized_loss(sets, drifts, -0.1)
 

@@ -229,11 +229,30 @@ def test_result_structure(small_groups):
     np.testing.assert_allclose(total_col, align_col + 0.1 * reg_col, rtol=1e-12)
     # transformed members really are members plus the drift fields
     for m, f, t in zip(a.members, ga.drifts, ga.transformed):
-        np.testing.assert_array_equal(t.points, m.points + f.drifts)
+        np.testing.assert_array_equal(t.points, m.points + f)
     assert ga.final_loss.normalized_cd == ga.final_normalized_cd
     assert ga.final_normalized_cd == pytest.approx(
         normalized_cd(ga.transformed), rel=1e-12
     )
+
+
+@pytest.mark.parametrize("share", [True, False])
+def test_results_are_read_only_arrays_of_the_drifted_members(small_groups, share):
+    """Each member's drift is a read-only (N, dim) array, the latent a
+    read-only vector, and the drifted member is the input plus its drift,
+    bit for bit, with a shared decoder and with one decoder per group."""
+    cfg = OptimConfig(**{**SMALL, "max_steps": 5}, share_decoder=share)
+    res = align(list(small_groups), cfg)
+    for g, ga in zip(small_groups, res.groups):
+        assert ga.latent.shape == (cfg.latent_dim,)
+        with pytest.raises(ValueError):
+            ga.latent[0] = 0.0
+        assert len(ga.drifts) == len(ga.transformed) == g.k
+        for m, d, t in zip(g.members, ga.drifts, ga.transformed):
+            assert d.shape == m.points.shape
+            with pytest.raises(ValueError):
+                d[0, 0] = 0.0
+            assert np.array_equal(t.points, m.points + d)
 
 
 def test_bitwise_deterministic(small_groups):
@@ -243,7 +262,7 @@ def test_bitwise_deterministic(small_groups):
     r2 = align([a, b], cfg)
     np.testing.assert_array_equal(r1.loss_trace, r2.loss_trace)
     for g1, g2 in zip(r1.groups, r2.groups):
-        np.testing.assert_array_equal(g1.latent.values, g2.latent.values)
+        np.testing.assert_array_equal(g1.latent, g2.latent)
         for t1, t2 in zip(g1.transformed, g2.transformed):
             np.testing.assert_array_equal(t1.points, t2.points)
     for (w1, b1), (w2, b2) in zip(
@@ -279,7 +298,7 @@ def test_loss_workers_write_their_own_rows_under_contention(small_fish):
         sys.setswitchinterval(interval)
     np.testing.assert_array_equal(serial.loss_trace, threaded.loss_trace)
     for g1, g2 in zip(serial.groups, threaded.groups):
-        np.testing.assert_array_equal(g1.latent.values, g2.latent.values)
+        np.testing.assert_array_equal(g1.latent, g2.latent)
 
 
 def test_per_group_mode_is_independent(small_fish, small_groups):
@@ -291,7 +310,7 @@ def test_per_group_mode_is_independent(small_fish, small_groups):
     r1 = align([a, b], cfg)
     r2 = align([a_alt, b], cfg)
     b1, b2 = r1.groups[1], r2.groups[1]
-    np.testing.assert_array_equal(b1.latent.values, b2.latent.values)
+    np.testing.assert_array_equal(b1.latent, b2.latent)
     assert b1.final_normalized_cd == b2.final_normalized_cd
     for t1, t2 in zip(b1.transformed, b2.transformed):
         np.testing.assert_array_equal(t1.points, t2.points)
@@ -299,7 +318,7 @@ def test_per_group_mode_is_independent(small_fish, small_groups):
     assert b1.decoder_params is not None
     for together, g in zip(r1.groups, (a, b)):
         alone = align([g], cfg).groups[0]
-        np.testing.assert_array_equal(together.latent.values, alone.latent.values)
+        np.testing.assert_array_equal(together.latent, alone.latent)
         assert together.final_normalized_cd == alone.final_normalized_cd
         for t1, t2 in zip(together.transformed, alone.transformed):
             np.testing.assert_array_equal(t1.points, t2.points)
@@ -385,6 +404,25 @@ def test_non_finite_drifts_stop_the_run_with_its_trace(small_groups, monkeypatch
     with pytest.raises(NonFiniteError, match="step 2") as info:
         align([a], OptimConfig(**SMALL))
     assert info.value.trace.shape == (2, 3)
+
+
+def test_non_finite_final_drifts_raise_with_the_whole_trace(small_groups, monkeypatch):
+    """The decode after the last step is checked like every step's."""
+    cfg = OptimConfig(**{**SMALL, "max_steps": 4})
+    calls = []
+    real = decoder.run_layers
+
+    def poisoned(*args):
+        drifts, acts = real(*args)
+        calls.append(None)
+        if len(calls) == cfg.max_steps + 1:
+            drifts[-1, -1] = np.inf
+        return drifts, acts
+
+    monkeypatch.setattr(decoder, "run_layers", poisoned)
+    with pytest.raises(NonFiniteError, match="final drifts") as info:
+        align([small_groups[0]], cfg)
+    assert info.value.trace.shape == (cfg.max_steps, 3)
 
 
 def test_runs_to_max_steps_without_convergence(small_groups):
