@@ -222,9 +222,10 @@ def _objective(
     Rows from starts[s] up to the next start decode with latents[s]. Each
     entry of groups_members holds one loss group's contiguous member slices.
     Returns the alignment and penalty totals, each layer's (dW, db) and one
-    gradient row per latent; raises NonFiniteError on non-finite drifts or loss.
+    gradient row per latent; raises NonFiniteError on non-finite drifts,
+    loss or gradients.
     """
-    drifts, acts = dec.run_layers(layers, x_all, latents, starts)
+    drifts, kept = dec.run_layers(layers, x_all, latents, starts)
     if not np.isfinite(drifts).all():
         raise NonFiniteError("drifts became non-finite")
     transformed = x_all + drifts
@@ -248,8 +249,10 @@ def _objective(
     if not math.isfinite(align_total + reg_lambda * reg_total):
         raise NonFiniteError("loss became non-finite")
     d_layers, d_latents = dec.run_layers_backward(
-        layers, acts, grad_rows, latents, starts
+        layers, x_all, grad_rows, latents, starts, kept
     )
+    if not all(np.isfinite(g).all() for g in chain(*d_layers, [d_latents])):
+        raise NonFiniteError("gradient became non-finite")
     return align_total, reg_total, d_layers, d_latents
 
 
@@ -354,7 +357,9 @@ def align(groups: Sequence[Group], cfg: OptimConfig | None = None) -> AlignmentR
 
     All groups must share a dimensionality. With ``cfg.share_decoder``
     (the default) a single decoder serves every group and couples them;
-    otherwise each group gets its own independently optimized decoder.
+    otherwise each group gets its own independently optimized decoder. A
+    ``NonFiniteError`` carries the losses gathered so far as its ``trace``,
+    summed over the scopes by the rule of ``AlignmentResult.loss_trace``.
     """
     if cfg is None:
         cfg = OptimConfig()
@@ -375,17 +380,33 @@ def align(groups: Sequence[Group], cfg: OptimConfig | None = None) -> AlignmentR
         scopes = [(groups, z_seeds)]
     else:
         scopes = [([g], z_seeds[:1]) for g in groups]
-    results, params, traces, early = zip(
-        *(_align_scope(scope, cfg, theta_seed, seeds) for scope, seeds in scopes)
-    )
-    steps = max(t.shape[0] for t in traces)
-    loss_trace = np.zeros((steps, 3))
-    for t in traces:
-        loss_trace += np.vstack([t, np.repeat(t[-1:], steps - t.shape[0], axis=0)])
+    done = []
+    for scope, seeds in scopes:
+        try:
+            done.append(_align_scope(scope, cfg, theta_seed, seeds))
+        except NonFiniteError as err:
+            # The failing scope's rows, if it gathered any, join the
+            # finished scopes' traces.
+            rows = np.zeros((0, 3)) if err.trace is None else err.trace
+            traces = [d[2] for d in done] + [rows]
+            raise NonFiniteError(str(err), trace=_padded_sum(traces)) from None
+    results, params, traces, early = zip(*done)
+    loss_trace = _padded_sum(traces)
     return AlignmentResult(
         groups=tuple(chain.from_iterable(results)),
         decoder_params=params[0] if cfg.share_decoder else None,
         loss_trace=loss_trace,
-        steps_run=steps,
+        steps_run=loss_trace.shape[0],
         converged_early=all(early),
     )
+
+
+def _padded_sum(traces: Sequence[np.ndarray]) -> np.ndarray:
+    """Sum of the scopes' loss traces, each padded with its last row up to
+    the longest; a scope that recorded no row adds nothing."""
+    steps = max(len(t) for t in traces)
+    total = np.zeros((steps, 3))
+    for t in traces:
+        if len(t):
+            total += np.vstack([t, np.repeat(t[-1:], steps - len(t), axis=0)])
+    return total

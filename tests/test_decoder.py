@@ -1,6 +1,9 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from groupalign import decoder
 from groupalign.decoder import (
     DecoderParams,
     forward,
@@ -93,16 +96,17 @@ class TestHandComputedCore:
         return run_layers(self.layers, self.coords, np.array([[latent]]), [0])
 
     def _backward(self, latent):
-        _, acts = self._run(latent)
+        _, kept = self._run(latent)
+        latents = np.array([[latent]])
         return run_layers_backward(
-            self.layers, acts, np.array([[1.0]]), np.array([[latent]]), [0]
+            self.layers, self.coords, np.array([[1.0]]), latents, [0], kept
         )
 
     def test_forward_active(self):
-        out, acts = self._run(-0.1)  # relu(0.2) = 0.2, 2 * 0.2 + 0.5
+        out, kept = self._run(-0.1)  # relu(0.2) = 0.2, 2 * 0.2 + 0.5
         np.testing.assert_allclose(out, [[0.9]], atol=1e-15)
-        assert len(acts) == 2
-        np.testing.assert_allclose(acts[1], [[0.2]], atol=1e-15)
+        assert len(kept) == 1
+        np.testing.assert_allclose(kept[0], [[0.2]], atol=1e-15)
 
     def test_forward_dead_unit(self):
         out, _ = self._run(-0.5)  # relu(-0.2) = 0, output is the bias path
@@ -142,9 +146,11 @@ def test_backward_linear_in_upstream():
     pts = np.random.default_rng(11).normal(size=(5, 2))
     up = np.random.default_rng(12).normal(size=(5, 2))
     latents = z_vals[None, :]
-    _, acts = run_layers(params.layers, pts, latents, [0])
-    layers1, latent1 = run_layers_backward(params.layers, acts, up, latents, [0])
-    layers2, latent2 = run_layers_backward(params.layers, acts, 2.0 * up, latents, [0])
+    _, kept = run_layers(params.layers, pts, latents, [0])
+    layers1, latent1 = run_layers_backward(params.layers, pts, up, latents, [0], kept)
+    layers2, latent2 = run_layers_backward(
+        params.layers, pts, 2.0 * up, latents, [0], kept
+    )
     np.testing.assert_allclose(latent2, 2.0 * latent1, rtol=1e-12)
     for (w1, b1), (w2, b2) in zip(layers1, layers2):
         np.testing.assert_allclose(w2, 2.0 * w1, rtol=1e-12)
@@ -192,9 +198,9 @@ def test_gradients_match_finite_differences():
         if _min_hidden_preactivation(params, inputs) < 1e-3:
             continue
 
-        _, acts = run_layers(params.layers, pts, z_vals[None, :], [0])
+        _, kept = run_layers(params.layers, pts, z_vals[None, :], [0])
         d_layers, d_latents = run_layers_backward(
-            params.layers, acts, upstream, z_vals[None, :], [0]
+            params.layers, pts, upstream, z_vals[None, :], [0], kept
         )
 
         def objective(layers, latent):
@@ -261,9 +267,9 @@ def test_segments_of_unequal_length_match_concatenated_rows():
     upstream = rng.normal(size=(9, 3))
     starts = [0, 3, 4]
 
-    out, acts = run_layers(params.layers, coords, latents, starts)
+    out, kept = run_layers(params.layers, coords, latents, starts)
     d_layers, d_latents = run_layers_backward(
-        params.layers, acts, upstream, latents, starts
+        params.layers, coords, upstream, latents, starts, kept
     )
     ref_out, ref_layers, ref_latents = _concatenated_reference(
         params.layers, coords, latents, counts, upstream
@@ -274,6 +280,72 @@ def test_segments_of_unequal_length_match_concatenated_rows():
         np.testing.assert_allclose(db, ref_db, rtol=1e-12, atol=1e-14)
     assert d_latents.shape == (3, 4)
     np.testing.assert_allclose(d_latents, ref_latents, rtol=1e-12, atol=1e-14)
+
+
+def _pass(layers, coords, latents, starts, upstream):
+    """One forward and backward pass: the drifts, then every dW and db and
+    the latent gradients in one list."""
+    out, kept = run_layers(layers, coords, latents, starts)
+    d_layers, d_latents = run_layers_backward(
+        layers, coords, upstream, latents, starts, kept
+    )
+    return out, [a for pair in d_layers for a in pair] + [d_latents]
+
+
+def test_block_size_does_not_change_the_pass(monkeypatch):
+    """Segments of 5000, 1 and 4097 rows. Blocks of 3 rows split every
+    segment and leave tails, blocks of 2048 leave a 1-row tail, and blocks
+    of 10**6 rows hold whole segments. The gradients sum the blocks in
+    another order, and BLAS rounds a 1-row or small block (its gemv and
+    small-matrix kernels) unlike a large one, so both drifts and gradients
+    agree to 1e-12 relative."""
+    rng = np.random.default_rng(23)
+    layers = init_params(3, 16, (32, 16), seed=24).layers
+    starts = [0, 5000, 5001]
+    coords = rng.normal(size=(9098, 3))
+    latents = rng.normal(0, 0.5, (3, 16))
+    upstream = rng.normal(size=coords.shape)
+    runs = {}
+    for block_rows in (3, 2048, 10**6):
+        monkeypatch.setattr(decoder, "BLOCK_ROWS", block_rows)
+        runs[block_rows] = _pass(layers, coords, latents, starts, upstream)
+    ref_out, ref_grads = runs[10**6]
+    for out, grads in (runs[3], runs[2048]):
+        for got, want in zip([out, *grads], [ref_out, *ref_grads]):
+            assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+
+def test_whole_blocks_decode_bit_identically(monkeypatch):
+    """Segments that split into whole 2048-row blocks, as in the 3D blob
+    benchmark, decode to the same bits as one block per segment."""
+    rng = np.random.default_rng(25)
+    layers = init_params(3, 256, (128, 64), seed=26).layers
+    coords = rng.normal(size=(6144 + 4096, 3))
+    latents = rng.normal(0, 0.5, (2, 256))
+    split = run_layers(layers, coords, latents, [0, 6144])[0]
+    monkeypatch.setattr(decoder, "BLOCK_ROWS", 10**6)
+    whole = run_layers(layers, coords, latents, [0, 6144])[0]
+    np.testing.assert_array_equal(split, whole)
+
+
+def test_a_pass_holds_a_few_blocks_of_activations():
+    """16 segments of 4096 3D rows with a 256-wide latent: one forward and
+    backward pass peaks below four blocks' activations (coordinates and
+    hidden layers), where the whole stack would take 32 blocks."""
+    rng = np.random.default_rng(27)
+    hidden = (128, 64)
+    layers = init_params(3, 256, hidden, seed=28).layers
+    coords = rng.normal(size=(16 * 4096, 3))
+    latents = rng.normal(0, 0.1, (16, 256))
+    upstream = rng.normal(size=coords.shape)
+    starts = np.arange(16) * 4096
+    tracemalloc.start()
+    try:
+        _pass(layers, coords, latents, starts, upstream)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 8 * decoder.BLOCK_ROWS * (3 + sum(hidden))
 
 
 def test_shape_mismatch_errors():

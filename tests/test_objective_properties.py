@@ -1,11 +1,14 @@
 """Property tests for the optimizer's one objective, _objective: its value
 and its layer and latent gradients against central differences of an
 independently coded objective, over random row layouts."""
+from unittest import mock
+
 import numpy as np
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 import oracle
+from groupalign import decoder
 from groupalign.decoder import forward, init_params
 from groupalign.optimizer import _objective
 
@@ -61,6 +64,19 @@ def test_gradients_match_central_differences(layout):
     """One latent segment per group, as the optimizer lays out a shared
     decoder scope. Draws where a nearest neighbor, a drift norm or a ReLU
     gate could flip within the step are screened out, as in c01."""
+    _check_gradients(layout)
+
+
+@PROPERTY
+@given(layout=layouts())
+def test_gradients_match_central_differences_in_two_row_blocks(layout):
+    """The same check with two-row decoder blocks, which split segments
+    inside members and leave one-row tails."""
+    with mock.patch.object(decoder, "BLOCK_ROWS", 2):
+        _check_gradients(layout)
+
+
+def _check_gradients(layout):
     dim, sizes, seed = layout
     rng = np.random.default_rng(seed)
     groups = [[rng.uniform(-1.0, 1.0, (n, dim)) for n in g] for g in sizes]

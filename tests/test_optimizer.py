@@ -393,17 +393,66 @@ def test_non_finite_drifts_stop_the_run_with_its_trace(small_groups, monkeypatch
     real = decoder.run_layers
 
     def poisoned(*args):
-        drifts, acts = real(*args)
+        drifts, kept = real(*args)
         calls.append(None)
         if len(calls) == 3:
             drifts[0, 0] = np.nan
-        return drifts, acts
+        return drifts, kept
 
     monkeypatch.setattr(decoder, "run_layers", poisoned)
     a, _ = small_groups
     with pytest.raises(NonFiniteError, match="step 2") as info:
         align([a], OptimConfig(**SMALL))
     assert info.value.trace.shape == (2, 3)
+
+
+def test_non_finite_gradient_stops_the_run_with_its_trace(small_groups, monkeypatch):
+    """A non-finite gradient is caught before Adam sees it, so the error
+    names its step and carries the losses gathered before it."""
+    a, _ = small_groups
+    cfg = OptimConfig(**{**SMALL, "max_steps": 10})
+    before = align([a], replace(cfg, max_steps=2)).loss_trace
+    calls = []
+    real = decoder.run_layers_backward
+
+    def poisoned(*args):
+        d_layers, d_latents = real(*args)
+        calls.append(None)
+        if len(calls) == 3:
+            d_latents[0, 0] = np.inf
+        return d_layers, d_latents
+
+    monkeypatch.setattr(decoder, "run_layers_backward", poisoned)
+    match = "gradient became non-finite at step 2"
+    with pytest.raises(NonFiniteError, match=match) as info:
+        align([a], cfg)
+    np.testing.assert_array_equal(info.value.trace, before)
+
+
+def test_per_group_failure_keeps_the_finished_groups_traces(small_groups, monkeypatch):
+    """In per-group mode a failure in the second scope carries the padded
+    sum of the first scope's trace and the second scope's rows so far."""
+    a, b = small_groups
+    cfg = OptimConfig(**{**SMALL, "max_steps": 10}, share_decoder=False)
+    first = align([a], cfg).loss_trace
+    second = align([b], replace(cfg, max_steps=2)).loss_trace
+    calls = []
+    real = decoder.run_layers
+
+    def poisoned(*args):
+        drifts, kept = real(*args)
+        calls.append(None)
+        # The first scope decodes once per step and once to finalize.
+        if len(calls) == cfg.max_steps + 1 + 3:
+            drifts[0, 0] = np.nan
+        return drifts, kept
+
+    monkeypatch.setattr(decoder, "run_layers", poisoned)
+    with pytest.raises(NonFiniteError, match="step 2") as info:
+        align([a, b], cfg)
+    assert first.shape == (cfg.max_steps, 3)
+    expected = first + np.vstack([second, np.repeat(second[-1:], 8, axis=0)])
+    np.testing.assert_array_equal(info.value.trace, expected)
 
 
 def test_non_finite_final_drifts_raise_with_the_whole_trace(small_groups, monkeypatch):
@@ -413,11 +462,11 @@ def test_non_finite_final_drifts_raise_with_the_whole_trace(small_groups, monkey
     real = decoder.run_layers
 
     def poisoned(*args):
-        drifts, acts = real(*args)
+        drifts, kept = real(*args)
         calls.append(None)
         if len(calls) == cfg.max_steps + 1:
             drifts[-1, -1] = np.inf
-        return drifts, acts
+        return drifts, kept
 
     monkeypatch.setattr(decoder, "run_layers", poisoned)
     with pytest.raises(NonFiniteError, match="final drifts") as info:
