@@ -15,7 +15,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import NonFiniteError, ShapeMismatchError
+from .errors import ShapeMismatchError
 
 Layer = tuple[np.ndarray, np.ndarray]  # weight (out, in), bias (out,)
 
@@ -24,51 +24,22 @@ BLOCK_ROWS = 2048  # rows per block, which bounds the activations a pass holds
 
 @dataclass(frozen=True, eq=False)
 class DecoderParams:
-    """Weights and biases, outermost first. Layer l maps width[l] -> width[l+1]."""
+    """Weights and biases, outermost first: the optimizer's arrays, read-only."""
 
     layers: tuple[Layer, ...]
-
-    def __post_init__(self):
-        if not self.layers:
-            raise ShapeMismatchError("decoder needs at least one layer")
-        frozen = []
-        prev_out = None
-        for i, (weight, bias) in enumerate(self.layers):
-            w = np.array(weight, dtype=np.float64)
-            b = np.array(bias, dtype=np.float64)
-            if w.ndim != 2 or b.ndim != 1 or w.shape[0] != b.shape[0]:
-                raise ShapeMismatchError(
-                    f"layer {i}: weight {w.shape} and bias {b.shape} disagree"
-                )
-            if prev_out is not None and w.shape[1] != prev_out:
-                raise ShapeMismatchError(
-                    f"layer {i} expects {w.shape[1]} inputs, previous layer gives {prev_out}"
-                )
-            if not (np.isfinite(w).all() and np.isfinite(b).all()):
-                raise NonFiniteError(f"layer {i} has non-finite parameters")
-            prev_out = w.shape[0]
-            w.setflags(write=False)
-            b.setflags(write=False)
-            frozen.append((w, b))
-        object.__setattr__(self, "layers", tuple(frozen))
 
 
 def init_params(
     dim: int, latent_dim: int, hidden: Sequence[int], seed: int
-) -> DecoderParams:
-    """He-style initialization: W ~ N(0, 2/fan_in), biases zero."""
-    hidden = tuple(int(h) for h in hidden)
-    if dim < 1 or latent_dim < 1:
-        raise ValueError(f"dim and latent_dim must be >= 1, got {dim}, {latent_dim}")
-    if not hidden or any(h < 1 for h in hidden):
-        raise ValueError(f"hidden widths must be positive and non-empty, got {hidden}")
-    widths = (dim + latent_dim,) + hidden + (dim,)
-    rng = np.random.default_rng(int(seed))
-    layers = []
-    for fan_in, fan_out in zip(widths[:-1], widths[1:]):
-        scale = np.sqrt(2.0 / fan_in)
-        layers.append((rng.normal(0.0, scale, (fan_out, fan_in)), np.zeros(fan_out)))
-    return DecoderParams(tuple(layers))
+) -> list[Layer]:
+    """He-style initialization: W ~ N(0, 2/fan_in), biases zero. Returns
+    writable (W, b) pairs, which the optimizer updates in place."""
+    widths = (dim + latent_dim, *hidden, dim)
+    rng = np.random.default_rng(seed)
+    return [
+        (rng.normal(0.0, np.sqrt(2.0 / fan_in), (fan_out, fan_in)), np.zeros(fan_out))
+        for fan_in, fan_out in zip(widths[:-1], widths[1:])
+    ]
 
 
 def _blocks(starts: Sequence[int], n_rows: int):

@@ -95,7 +95,5 @@ def normalize(ps: PointSet) -> PointSet:
 
 def init_gld(latent_dim: int, seed: int) -> np.ndarray:
     """Draw a fresh latent descriptor from N(0, 0.01) per entry."""
-    if latent_dim < 1:
-        raise ValueError(f"latent_dim must be >= 1, got {latent_dim}")
     rng = np.random.default_rng(int(seed))
     return rng.normal(0.0, GLD_INIT_STD, latent_dim)

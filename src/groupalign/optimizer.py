@@ -281,10 +281,7 @@ def _align_scope(
 
     # The only copy of the variables, updated in place by Adam: the
     # decoder's (W, b) pairs and one latent row per group.
-    layers = [
-        (np.array(w), np.array(b))
-        for w, b in dec.init_params(dim, latent, cfg.hidden, theta_seed).layers
-    ]
+    layers = dec.init_params(dim, latent, cfg.hidden, theta_seed)
     latents = np.stack([init_gld(latent, s) for s in z_seeds])
     variables = [*chain.from_iterable(layers), *latents]
     states = [AdamState.for_variable(v) for v in variables]
@@ -325,8 +322,8 @@ def _align_scope(
     drifts = dec.forward(layers, x_all, latents, starts)
     if not np.isfinite(drifts).all():
         raise NonFiniteError("final drifts are non-finite", trace=np.array(trace_rows))
-    drifts.setflags(write=False)
-    latents.setflags(write=False)
+    for array in (drifts, latents, *chain.from_iterable(layers)):
+        array.setflags(write=False)
     final_params = dec.DecoderParams(tuple(layers))
     results = []
     for i, (g, slices) in enumerate(zip(groups, member_slices)):

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 import os
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -52,9 +53,13 @@ def read_point_set(path: str | Path) -> PointSet:
                     line=lineno,
                 )
             try:
-                rows.append([float(f) for f in fields])
+                row = [float(f) for f in fields]
+                # float() accepts 'nan' and 'inf', and overflows '1e400' to inf.
+                if not all(map(math.isfinite, row)):
+                    raise ValueError(f"non-finite coordinate in {line!r}")
             except ValueError as exc:
                 raise ParseError(str(exc), path=path, line=lineno) from exc
+            rows.append(row)
     if not rows:
         raise EmptyFileError("no data lines", path=path)
     return PointSet(np.array(rows))

@@ -57,9 +57,7 @@ class TpsWarp:
         return basis @ self.kernel_weights + np.hstack([ones, pts]) @ self.affine_part
 
 
-def fit_tps(
-    control: np.ndarray, targets: np.ndarray, ridge: float = TPS_RIDGE
-) -> TpsWarp:
+def fit_tps(control: np.ndarray, targets: np.ndarray) -> TpsWarp:
     """Solve the TPS interpolation system with an affine term.
 
     A small diagonal ridge keeps the kernel block well conditioned; it
@@ -76,7 +74,7 @@ def fit_tps(
         raise SingularTpsError("duplicate control points make the system singular")
 
     kernel = _tps_kernel(cdist(control, control), dim)
-    kernel[np.diag_indices(n)] += ridge
+    kernel[np.diag_indices(n)] += TPS_RIDGE
     poly = np.hstack([np.ones((n, 1)), control])
     system = np.zeros((n + dim + 1, n + dim + 1))
     system[:n, :n] = kernel

@@ -55,9 +55,9 @@ def test_c01_analytic_gradients_match_finite_differences():
             break
         rng = np.random.default_rng(5000 + attempt)
         sets = [PointSet(rng.uniform(-1.0, 1.0, (10, 2))) for _ in range(3)]
-        params = init_params(2, 8, (16, 8), seed=attempt)
+        layers = init_params(2, 8, (16, 8), seed=attempt)
         zs = [init_gld(8, seed=3 * attempt + m) for m in range(3)]
-        arrays = [a for layer in params.layers for a in layer]
+        arrays = [a for layer in layers for a in layer]
         # Rows stacked member after member, one latent per row segment,
         # as the optimizer lays out a scope.
         stacked = [
@@ -68,7 +68,7 @@ def test_c01_analytic_gradients_match_finite_differences():
         starts = [seg.start for seg in segments]
         coords = np.vstack([s.points for s in sets])
         latents = np.stack(zs)
-        drifts = forward(params.layers, coords, latents, starts)
+        drifts = forward(layers, coords, latents, starts)
         moved = coords + drifts
         if oracle.nn_margin([moved[seg] for seg in segments]) < 3e-3:
             continue
@@ -80,7 +80,7 @@ def test_c01_analytic_gradients_match_finite_differences():
         # One latent segment per member, and the three members in one
         # loss group.
         _, _, d_layers, d_latents = _objective(
-            params.layers, latents, coords, starts, [segments], lam
+            layers, latents, coords, starts, [segments], lam
         )
         acc = [a for pair in d_layers for a in pair]
         z_grads = list(d_latents)

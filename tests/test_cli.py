@@ -426,6 +426,18 @@ class TestErrorPaths:
         assert capsys.readouterr().err.startswith("error:")
         assert not out.exists()
 
+    def test_non_finite_member_is_named_and_nothing_is_written(self, tmp_path, capsys):
+        manifest_path = _synth(tmp_path, k=5)
+        capsys.readouterr()
+        bad = manifest_path.parent / "g000_m03.txt"
+        bad.write_text("0.5 0.5\n1 nan\n")
+        out = tmp_path / "x"
+        rc = main(["align", "--manifest", str(manifest_path), "--out", str(out)])
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert f"{bad}: line 2:" in err
+        assert not out.exists()
+
     def test_bad_config_value_writes_nothing(self, tmp_path, capsys):
         manifest_path = _synth(tmp_path)
         capsys.readouterr()

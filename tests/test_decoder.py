@@ -5,69 +5,49 @@ import pytest
 
 from groupalign import decoder
 from groupalign.decoder import (
-    DecoderParams,
     forward,
     init_params,
     run_layers,
     run_layers_backward,
 )
-from groupalign.errors import NonFiniteError, ShapeMismatchError
+from groupalign.errors import ShapeMismatchError
 
 from oracle import central_difference
 
 
 def test_init_shapes_match_widths():
-    params = init_params(2, 256, (128, 64), seed=0)
-    shapes = [(w.shape, b.shape) for w, b in params.layers]
+    layers = init_params(2, 256, (128, 64), seed=0)
+    shapes = [(w.shape, b.shape) for w, b in layers]
     assert shapes == [
         ((128, 258), (128,)),
         ((64, 128), (64,)),
         ((2, 64), (2,)),
     ]
-    for _, b in params.layers:
+    for _, b in layers:
         np.testing.assert_array_equal(b, 0.0)
 
 
 def test_init_deterministic():
     a = init_params(3, 16, (8,), seed=4)
     b = init_params(3, 16, (8,), seed=4)
-    for (wa, ba), (wb, bb) in zip(a.layers, b.layers):
+    for (wa, ba), (wb, bb) in zip(a, b):
         np.testing.assert_array_equal(wa, wb)
         np.testing.assert_array_equal(ba, bb)
     c = init_params(3, 16, (8,), seed=5)
-    assert not np.array_equal(a.layers[0][0], c.layers[0][0])
+    assert not np.array_equal(a[0][0], c[0][0])
 
 
 def test_init_weight_scale():
     """Weights should follow N(0, 2/fan_in) per layer."""
-    params = init_params(2, 256, (128, 64), seed=1)
-    for w, _ in params.layers[:2]:
+    layers = init_params(2, 256, (128, 64), seed=1)
+    for w, _ in layers[:2]:
         fan_in = w.shape[1]
         assert abs(w.var() - 2.0 / fan_in) < 0.2 * (2.0 / fan_in)
     # the last layer is tiny; pool draws across seeds before checking
     last = np.concatenate(
-        [init_params(2, 256, (128, 64), seed=s).layers[2][0].ravel() for s in range(20)]
+        [init_params(2, 256, (128, 64), seed=s)[2][0].ravel() for s in range(20)]
     )
     assert abs(last.var() - 2.0 / 64) < 0.2 * (2.0 / 64)
-
-
-def test_init_validation():
-    with pytest.raises(ValueError):
-        init_params(0, 8, (4,), seed=0)
-    with pytest.raises(ValueError):
-        init_params(2, 8, (), seed=0)
-
-
-def test_params_validation():
-    with pytest.raises(ShapeMismatchError):
-        DecoderParams(((np.zeros((3, 2)), np.zeros(4)),))
-    with pytest.raises(ShapeMismatchError):
-        # widths do not chain: 3 outputs then a layer expecting 5 inputs
-        DecoderParams(
-            ((np.zeros((3, 2)), np.zeros(3)), (np.zeros((1, 5)), np.zeros(1)))
-        )
-    with pytest.raises(NonFiniteError):
-        DecoderParams(((np.full((2, 2), np.nan), np.zeros(2)),))
 
 
 def test_zero_params_give_zero_drift():
@@ -76,7 +56,7 @@ def test_zero_params_give_zero_drift():
         (np.zeros((2, 4)), np.zeros(2)),
     )
     coords = np.random.default_rng(0).normal(size=(6, 2))
-    drifts = forward(DecoderParams(layers).layers, coords, np.ones((1, 3)), [0])
+    drifts = forward(layers, coords, np.ones((1, 3)), [0])
     np.testing.assert_array_equal(drifts, 0.0)
 
 
@@ -133,23 +113,21 @@ class TestHandComputedCore:
 
 def test_public_forward_hand_case():
     """Single affine layer: drift = W [x, y, z] + b, latent appended last."""
-    params = DecoderParams(
-        ((np.array([[1.0, 0.0, 1.0], [0.0, 1.0, -1.0]]), np.array([0.1, -0.1])),)
-    )
-    drifts = forward(params.layers, np.array([[0.5, -0.25]]), np.array([[2.0]]), [0])
+    layers = ((np.array([[1.0, 0.0, 1.0], [0.0, 1.0, -1.0]]), np.array([0.1, -0.1])),)
+    drifts = forward(layers, np.array([[0.5, -0.25]]), np.array([[2.0]]), [0])
     np.testing.assert_allclose(drifts, [[2.6, -2.35]], atol=1e-15)
 
 
 def test_backward_linear_in_upstream():
-    params = init_params(2, 4, (6,), seed=9)
+    layers = init_params(2, 4, (6,), seed=9)
     z_vals = np.random.default_rng(10).normal(0, 0.1, 4)
     pts = np.random.default_rng(11).normal(size=(5, 2))
     up = np.random.default_rng(12).normal(size=(5, 2))
     latents = z_vals[None, :]
-    _, kept = run_layers(params.layers, pts, latents, [0])
-    layers1, latent1 = run_layers_backward(params.layers, pts, up, latents, [0], kept)
+    _, kept = run_layers(layers, pts, latents, [0])
+    layers1, latent1 = run_layers_backward(layers, pts, up, latents, [0], kept)
     layers2, latent2 = run_layers_backward(
-        params.layers, pts, 2.0 * up, latents, [0], kept
+        layers, pts, 2.0 * up, latents, [0], kept
     )
     np.testing.assert_allclose(latent2, 2.0 * latent1, rtol=1e-12)
     for (w1, b1), (w2, b2) in zip(layers1, layers2):
@@ -159,7 +137,7 @@ def test_backward_linear_in_upstream():
 
 def test_forward_rows_are_independent():
     """Each point decodes on its own: permuting rows permutes drifts."""
-    layers = init_params(2, 5, (7, 4), seed=13).layers
+    layers = init_params(2, 5, (7, 4), seed=13)
     z = np.random.default_rng(14).normal(0, 0.1, (1, 5))
     pts = np.random.default_rng(15).normal(size=(8, 2))
     perm = np.random.default_rng(16).permutation(8)
@@ -170,10 +148,10 @@ def test_forward_rows_are_independent():
     np.testing.assert_array_equal(duplicated[0], duplicated[1])
 
 
-def _min_hidden_preactivation(params, inputs):
+def _min_hidden_preactivation(layers, inputs):
     h = inputs
     margin = np.inf
-    for w, b in params.layers[:-1]:
+    for w, b in layers[:-1]:
         pre = h @ w.T + b
         margin = min(margin, np.abs(pre).min())
         h = np.maximum(pre, 0.0)
@@ -189,18 +167,18 @@ def test_gradients_match_finite_differences():
     checked = 0
     for seed in range(40):
         rng = np.random.default_rng(seed)
-        params = init_params(2, 6, (8, 5), seed=seed)
+        layers = init_params(2, 6, (8, 5), seed=seed)
         z_vals = rng.normal(0, 0.1, 6)
         pts = rng.uniform(-1, 1, (7, 2))
         upstream = rng.normal(size=(7, 2))
 
         inputs = np.hstack([pts, np.tile(z_vals, (7, 1))])
-        if _min_hidden_preactivation(params, inputs) < 1e-3:
+        if _min_hidden_preactivation(layers, inputs) < 1e-3:
             continue
 
-        _, kept = run_layers(params.layers, pts, z_vals[None, :], [0])
+        _, kept = run_layers(layers, pts, z_vals[None, :], [0])
         d_layers, d_latents = run_layers_backward(
-            params.layers, pts, upstream, z_vals[None, :], [0], kept
+            layers, pts, upstream, z_vals[None, :], [0], kept
         )
 
         def objective(layers, latent):
@@ -209,7 +187,7 @@ def test_gradients_match_finite_differences():
 
         h = 1e-6
         worst = 0.0
-        layer_list = [list(map(np.array, layer)) for layer in params.layers]
+        layer_list = [list(map(np.array, layer)) for layer in layers]
         for li in range(len(layer_list)):
             for pi in range(2):
                 base = layer_list[li][pi]
@@ -224,7 +202,7 @@ def test_gradients_match_finite_differences():
                 denom = np.maximum(np.abs(fd), 1e-6)
                 worst = max(worst, (np.abs(fd - analytic) / denom).max())
         fd_z = central_difference(
-            lambda latent: objective(params.layers, latent), z_vals, h
+            lambda latent: objective(layers, latent), z_vals, h
         )
         denom = np.maximum(np.abs(fd_z), 1e-6)
         worst = max(worst, (np.abs(fd_z - d_latents[0]) / denom).max())
@@ -260,19 +238,19 @@ def test_segments_of_unequal_length_match_concatenated_rows():
     every dW/db and each segment's latent gradient equal the reference
     that copies the latents onto the rows."""
     rng = np.random.default_rng(21)
-    params = init_params(3, 4, (6, 5), seed=22)
+    layers = init_params(3, 4, (6, 5), seed=22)
     counts = [3, 1, 5]
     coords = rng.normal(size=(9, 3))
     latents = rng.normal(0, 0.5, (3, 4))
     upstream = rng.normal(size=(9, 3))
     starts = [0, 3, 4]
 
-    out, kept = run_layers(params.layers, coords, latents, starts)
+    out, kept = run_layers(layers, coords, latents, starts)
     d_layers, d_latents = run_layers_backward(
-        params.layers, coords, upstream, latents, starts, kept
+        layers, coords, upstream, latents, starts, kept
     )
     ref_out, ref_layers, ref_latents = _concatenated_reference(
-        params.layers, coords, latents, counts, upstream
+        layers, coords, latents, counts, upstream
     )
     np.testing.assert_allclose(out, ref_out, rtol=1e-12, atol=1e-14)
     for (dw, db), (ref_dw, ref_db) in zip(d_layers, ref_layers):
@@ -300,7 +278,7 @@ def test_block_size_does_not_change_the_pass(monkeypatch):
     small-matrix kernels) unlike a large one, so both drifts and gradients
     agree to 1e-12 relative."""
     rng = np.random.default_rng(23)
-    layers = init_params(3, 16, (32, 16), seed=24).layers
+    layers = init_params(3, 16, (32, 16), seed=24)
     starts = [0, 5000, 5001]
     coords = rng.normal(size=(9098, 3))
     latents = rng.normal(0, 0.5, (3, 16))
@@ -319,7 +297,7 @@ def test_whole_blocks_decode_bit_identically(monkeypatch):
     """Segments that split into whole 2048-row blocks, as in the 3D blob
     benchmark, decode to the same bits as one block per segment."""
     rng = np.random.default_rng(25)
-    layers = init_params(3, 256, (128, 64), seed=26).layers
+    layers = init_params(3, 256, (128, 64), seed=26)
     coords = rng.normal(size=(6144 + 4096, 3))
     latents = rng.normal(0, 0.5, (2, 256))
     split = run_layers(layers, coords, latents, [0, 6144])[0]
@@ -334,7 +312,7 @@ def test_a_pass_holds_a_few_blocks_of_activations():
     hidden layers), where the whole stack would take 32 blocks."""
     rng = np.random.default_rng(27)
     hidden = (128, 64)
-    layers = init_params(3, 256, hidden, seed=28).layers
+    layers = init_params(3, 256, hidden, seed=28)
     coords = rng.normal(size=(16 * 4096, 3))
     latents = rng.normal(0, 0.1, (16, 256))
     upstream = rng.normal(size=coords.shape)
@@ -350,7 +328,7 @@ def test_a_pass_holds_a_few_blocks_of_activations():
 
 def test_shape_mismatch_errors():
     """Latent width, point dim, latent count and latent rank are checked."""
-    layers = init_params(2, 6, (8,), seed=17).layers
+    layers = init_params(2, 6, (8,), seed=17)
     pts2, pts3 = np.zeros((3, 2)), np.zeros((3, 3))
     z_ok, z_bad = np.zeros((1, 6)), np.zeros((1, 5))
     assert forward(layers, pts2, z_ok, [0]).shape == (3, 2)

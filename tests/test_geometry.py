@@ -108,10 +108,6 @@ class TestInitGld:
         assert abs(z.mean()) < 0.005
         assert abs(z.std() - GLD_INIT_STD) < 0.1 * GLD_INIT_STD
 
-    def test_rejects_zero_dim(self):
-        with pytest.raises(ValueError):
-            init_gld(0, seed=0)
-
 
 def test_fish_shape_contract():
     fish = fish_shape()

@@ -80,7 +80,7 @@ def _check_gradients(layout):
     dim, sizes, seed = layout
     rng = np.random.default_rng(seed)
     groups = [[rng.uniform(-1.0, 1.0, (n, dim)) for n in g] for g in sizes]
-    layers = init_params(dim, LATENT, HIDDEN, seed=seed).layers
+    layers = init_params(dim, LATENT, HIDDEN, seed=seed)
     latents = rng.normal(0.0, 0.5, (len(groups), LATENT))
     net = [a for layer in layers for a in layer]
 

@@ -239,10 +239,21 @@ def test_result_structure(small_groups):
 @pytest.mark.parametrize("share", [True, False])
 def test_results_are_read_only_arrays_of_the_drifted_members(small_groups, share):
     """Each member's drift is a read-only (N, dim) array, the latent a
-    read-only vector, and the drifted member is the input plus its drift,
-    bit for bit, with a shared decoder and with one decoder per group."""
+    read-only vector, the decoder's weights and biases are read-only, and
+    the drifted member is the input plus its drift, bit for bit, with a
+    shared decoder and with one decoder per group."""
     cfg = OptimConfig(**{**SMALL, "max_steps": 5}, share_decoder=share)
     res = align(list(small_groups), cfg)
+    if share:
+        decoders = [res.decoder_params]
+    else:
+        decoders = [ga.decoder_params for ga in res.groups]
+    assert len(decoders) == (1 if share else len(small_groups))
+    for params in decoders:
+        assert len(params.layers) == len(cfg.hidden) + 1
+        for array in (a for layer in params.layers for a in layer):
+            with pytest.raises(ValueError):
+                array[0] = 0.0
     for g, ga in zip(small_groups, res.groups):
         assert ga.latent.shape == (cfg.latent_dim,)
         with pytest.raises(ValueError):

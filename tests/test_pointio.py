@@ -62,6 +62,15 @@ class TestPointFiles:
             read_point_set(p)
         assert exc.value.line == 2
 
+    @pytest.mark.parametrize("token", ["nan", "inf", "1e400"])
+    def test_non_finite_coordinate_names_file_and_line(self, tmp_path, token):
+        p = tmp_path / "bad.txt"
+        p.write_text(f"1 2\n# note\n1 {token}\n")
+        with pytest.raises(ParseError) as exc:
+            read_point_set(p)
+        assert (exc.value.path, exc.value.line) == (p, 3)
+        assert f"{p}: line 3:" in str(exc.value)
+
     def test_empty_file(self, tmp_path):
         p = tmp_path / "empty.txt"
         p.write_text("# nothing but comments\n\n")
