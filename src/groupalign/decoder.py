@@ -15,8 +15,6 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import ShapeMismatchError
-
 Layer = tuple[np.ndarray, np.ndarray]  # weight (out, in), bias (out,)
 
 BLOCK_ROWS = 2048  # rows per block, which bounds the activations a pass holds
@@ -132,14 +130,5 @@ def forward(
     latents: np.ndarray,
     starts: Sequence[int],
 ) -> np.ndarray:
-    """Checked ``run_layers``: the drifts only, one row per coordinate row."""
-    dim = coords.shape[1]
-    in_width, out_width = layers[0][0].shape[1], layers[-1][0].shape[0]
-    if latents.ndim != 2 or (dim + latents.shape[1], dim, len(starts)) != (
-        in_width, out_width, latents.shape[0]
-    ):
-        raise ShapeMismatchError(
-            f"decoder maps {in_width} inputs to {out_width}D drifts, got {dim}D "
-            f"points, latents of shape {latents.shape} and {len(starts)} segments"
-        )
+    """The drifts of ``run_layers``, one row per coordinate row."""
     return run_layers(layers, coords, latents, starts)[0]

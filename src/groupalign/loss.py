@@ -68,6 +68,8 @@ def _nearest(target: np.ndarray, queries: np.ndarray) -> tuple[np.ndarray, np.nd
     return cKDTree(target).query(queries, k=1)
 
 
+# Overflow in a diverging run is reported by the optimizer's finite checks.
+@np.errstate(over="ignore", invalid="ignore")
 def alignment_terms(arrays: Sequence[np.ndarray]) -> tuple[float, list[np.ndarray]]:
     """Groupwise alignment value and its gradient per point array.
 
@@ -96,6 +98,7 @@ def alignment_terms(arrays: Sequence[np.ndarray]) -> tuple[float, list[np.ndarra
     return total, np.split(grad, bounds[1:-1])
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def drift_penalty(drifts: np.ndarray) -> tuple[float, np.ndarray]:
     """Sum of per-point drift norms and its subgradient (zero at zero)."""
     norms = np.sqrt((drifts * drifts).sum(axis=1))
@@ -109,16 +112,10 @@ def regularized_loss(
     arrays: Sequence[np.ndarray], drifts: Sequence[np.ndarray], reg_lambda: float
 ) -> LossBreakdown:
     """Alignment of the drifted point arrays plus reg_lambda times the
-    drift norms; each drift array has its point array's shape."""
-    if reg_lambda < 0.0:
-        raise ValueError(f"reg_lambda must be >= 0, got {reg_lambda}")
-    if len(arrays) != len(drifts):
-        raise ShapeMismatchError(f"{len(arrays)} arrays but {len(drifts)} drift arrays")
-    for a, d in zip(arrays, drifts):
-        if a.shape != d.shape:
-            raise ShapeMismatchError(f"points {a.shape} but drifts {d.shape}")
-    moved = _checked([a + d for a, d in zip(arrays, drifts)])
-    alignment = alignment_terms(moved)[0]
+    drift norms. The caller passes checked values: at least two non-empty
+    point arrays of one dimensionality, each with a drift array of its
+    shape, and reg_lambda >= 0."""
+    alignment = alignment_terms([a + d for a, d in zip(arrays, drifts)])[0]
     regularizer = float(sum(drift_penalty(d)[0] for d in drifts))
     return LossBreakdown(
         alignment=alignment,

@@ -30,46 +30,20 @@ from .geometry import Group, PointSet, init_gld
 BETA1, BETA2, EPSILON = 0.9, 0.999, 1e-8
 
 
-@dataclass(eq=False)
-class AdamState:
-    """First/second moment accumulators and the step counter for one variable."""
-
-    first_moment: np.ndarray
-    second_moment: np.ndarray
-    step_count: int = 0
-
-    @classmethod
-    def for_variable(cls, variable: np.ndarray) -> "AdamState":
-        v = np.asarray(variable, dtype=np.float64)
-        return cls(np.zeros_like(v), np.zeros_like(v))
-
-
 def adam_step(
-    state: AdamState, variable: np.ndarray, gradient: np.ndarray, lr: float
+    variable: np.ndarray,
+    gradient: np.ndarray,
+    m: np.ndarray,
+    v: np.ndarray,
+    lr: float,
+    t: int,
 ) -> None:
-    """One bias-corrected Adam update of ``variable`` and ``state``, in place.
-
-    Every check runs before anything is written, so a rejected call leaves
-    both untouched."""
-    if not (
-        isinstance(variable, np.ndarray)
-        and variable.dtype == np.float64
-        and variable.flags.writeable
-    ):
-        raise TypeError("Adam updates a writable float64 ndarray in place")
-    grad = np.asarray(gradient, dtype=np.float64)
-    m, v = state.first_moment, state.second_moment
-    if not grad.shape == variable.shape == m.shape == v.shape:
-        raise ShapeMismatchError(
-            f"variable {variable.shape}, gradient {grad.shape}, and state "
-            f"{m.shape} shapes must all match"
-        )
-    if not np.isfinite(grad).all():
-        raise NonFiniteError("gradient contains non-finite values")
-    state.step_count += 1
-    t = state.step_count
-    m[...] = BETA1 * m + (1.0 - BETA1) * grad
-    v[...] = BETA2 * v + (1.0 - BETA2) * grad * grad
+    """One bias-corrected Adam update, in place, of ``variable`` and its
+    first and second moments ``m`` and ``v``; ``t`` is the step number,
+    counted from 1. Nothing is checked here: the shapes match by
+    construction, and ``_objective`` has checked that the gradient is finite."""
+    m[...] = BETA1 * m + (1.0 - BETA1) * gradient
+    v[...] = BETA2 * v + (1.0 - BETA2) * gradient * gradient
     m_hat = m / (1.0 - BETA1**t)
     v_hat = v / (1.0 - BETA2**t)
     variable -= lr * m_hat / (np.sqrt(v_hat) + EPSILON)
@@ -147,8 +121,6 @@ class OptimConfig:
 
 def lr_at(step: int, cfg: OptimConfig) -> float:
     """Linear decay from lr_start to lr_end over the first lr_decay_steps."""
-    if step < 0:
-        raise ValueError(f"step must be >= 0, got {step}")
     frac = min(step, cfg.lr_decay_steps) / cfg.lr_decay_steps
     return cfg.lr_start + (cfg.lr_end - cfg.lr_start) * frac
 
@@ -284,7 +256,7 @@ def _align_scope(
     layers = dec.init_params(dim, latent, cfg.hidden, theta_seed)
     latents = np.stack([init_gld(latent, s) for s in z_seeds])
     variables = [*chain.from_iterable(layers), *latents]
-    states = [AdamState.for_variable(v) for v in variables]
+    moments = [(np.zeros_like(x), np.zeros_like(x)) for x in variables]
 
     workers = min(cfg.workers, len(groups))
     pool = ThreadPoolExecutor(workers) if workers > 1 else None
@@ -307,8 +279,8 @@ def _align_scope(
             trace_rows.append((align_total, reg_total, total))
             lr = lr_at(step, cfg)
             gradients = chain(chain.from_iterable(d_layers), d_latents)
-            for state, var, grad in zip(states, variables, gradients, strict=True):
-                adam_step(state, var, grad, lr)
+            for var, grad, (m, v) in zip(variables, gradients, moments, strict=True):
+                adam_step(var, grad, m, v, lr, step + 1)
 
             if converged([r[2] for r in trace_rows], cfg):
                 early = True

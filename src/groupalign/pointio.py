@@ -135,10 +135,12 @@ def read_manifest(path: str | Path) -> GroupManifest:
     seen: set[str] = set()
     for entry in raw_groups:
         try:
-            gid = str(entry["id"])
+            gid = entry["id"]
             names = entry["members"]
         except (KeyError, TypeError) as exc:
             raise ParseError(f"malformed group entry: {exc}", path=path) from exc
+        if not isinstance(gid, str):
+            raise ParseError(f"group id must be a string, got {gid!r}", path=path)
         if not isinstance(names, list) or not all(isinstance(m, str) for m in names):
             raise ParseError(
                 f"group {gid!r}: members must be a list of file names, got {names!r}",

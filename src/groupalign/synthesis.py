@@ -7,13 +7,14 @@ defects: added outliers, a removed contiguous patch, and per-point jitter.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.spatial.distance import cdist
 from scipy.special import xlogy
 
-from .errors import LevelError, ShapeMismatchError, SingularTpsError
+from .errors import LevelError, SingularTpsError
 from .geometry import Group, PointSet
 
 TPS_RIDGE = 1e-8
@@ -21,6 +22,21 @@ OUTLIER_STD = 0.5
 # Control-grid resolution per axis: 5x5 in 2D, 4x4x4 in 3D.
 GRID_PER_AXIS = {2: 5, 3: 4}
 NOISE_KINDS = ("po", "di", "gd")
+# Each kind's level range [0, upper), "tps" for the warp: (name, upper).
+_LEVELS = {
+    "tps": ("deformation", math.inf),
+    "po": ("outlier", math.inf),
+    "di": ("removal", 1.0),
+    "gd": ("displacement", math.inf),
+}
+
+
+def _check_level(kind: str, level: float) -> None:
+    """Raise LevelError unless 0 <= level < upper, which nan and inf fail."""
+    name, upper = _LEVELS[kind]
+    if not 0.0 <= level < upper:
+        bound = "finite and >= 0" if upper == math.inf else f"in [0, {upper:g})"
+        raise LevelError(f"{name} level must be {bound}, got {level}")
 
 
 def _round_half_up(x: float) -> int:
@@ -42,33 +58,20 @@ class TpsWarp:
     kernel_weights: np.ndarray
     affine_part: np.ndarray  # (dim + 1, dim); first row is the offset
 
-    @property
-    def dim(self) -> int:
-        return self.control_points.shape[1]
-
     def transform(self, points: np.ndarray) -> np.ndarray:
-        pts = np.asarray(points, dtype=np.float64)
-        if pts.ndim != 2 or pts.shape[1] != self.dim:
-            raise ShapeMismatchError(
-                f"expected (N, {self.dim}) points, got shape {pts.shape}"
-            )
-        basis = _tps_kernel(cdist(pts, self.control_points), self.dim)
-        ones = np.ones((pts.shape[0], 1))
-        return basis @ self.kernel_weights + np.hstack([ones, pts]) @ self.affine_part
+        """Warp (N, dim) points of the control points' dimensionality."""
+        basis = _tps_kernel(cdist(points, self.control_points), points.shape[1])
+        affine = np.hstack([np.ones((len(points), 1)), points])
+        return basis @ self.kernel_weights + affine @ self.affine_part
 
 
 def fit_tps(control: np.ndarray, targets: np.ndarray) -> TpsWarp:
-    """Solve the TPS interpolation system with an affine term.
+    """Solve the TPS interpolation system with an affine term for (n, dim)
+    control points and targets of the same shape.
 
     A small diagonal ridge keeps the kernel block well conditioned; it
     perturbs the interpolation by well under 1e-6 for our grids.
     """
-    control = np.asarray(control, dtype=np.float64)
-    targets = np.asarray(targets, dtype=np.float64)
-    if control.shape != targets.shape or control.ndim != 2:
-        raise ShapeMismatchError(
-            f"control {control.shape} and target {targets.shape} shapes must match"
-        )
     n, dim = control.shape
     if np.unique(control, axis=0).shape[0] < n:
         raise SingularTpsError("duplicate control points make the system singular")
@@ -110,8 +113,7 @@ def _control_grid(points: np.ndarray) -> np.ndarray:
 
 def random_tps_warp(ps: PointSet, level: float, seed: int) -> TpsWarp:
     """Fit a warp whose control targets are Gaussian-shifted with std 2*level."""
-    if level < 0.0:
-        raise LevelError(f"deformation level must be >= 0, got {level}")
+    _check_level("tps", level)
     control = _control_grid(ps.points)
     rng = np.random.default_rng(int(seed))
     shifts = rng.normal(0.0, 2.0 * level, control.shape)
@@ -126,8 +128,7 @@ def tps_deform(ps: PointSet, level: float, seed: int) -> PointSet:
 
 def add_outlier_noise(ps: PointSet, level: float, seed: int) -> PointSet:
     """Append round(level*N) Gaussian outliers (std 0.5) after the originals."""
-    if level < 0.0:
-        raise LevelError(f"outlier level must be >= 0, got {level}")
+    _check_level("po", level)
     count = _round_half_up(level * len(ps))
     if count == 0:
         return ps
@@ -141,8 +142,7 @@ def remove_patch(ps: PointSet, level: float, seed: int) -> PointSet:
 
     round(level*N) points go in total; the survivors keep their order.
     """
-    if not 0.0 <= level < 1.0:
-        raise LevelError(f"removal level must be in [0, 1), got {level}")
+    _check_level("di", level)
     count = _round_half_up(level * len(ps))
     if count == 0:
         return ps
@@ -158,8 +158,7 @@ def remove_patch(ps: PointSet, level: float, seed: int) -> PointSet:
 
 def add_gaussian_displacement(ps: PointSet, level: float, seed: int) -> PointSet:
     """Jitter every coordinate with zero-mean Gaussian noise of std level."""
-    if level < 0.0:
-        raise LevelError(f"displacement level must be >= 0, got {level}")
+    _check_level("gd", level)
     rng = np.random.default_rng(int(seed))
     return PointSet(ps.points + rng.normal(0.0, level, ps.points.shape))
 
@@ -175,11 +174,7 @@ class NoiseSpec:
     def __post_init__(self):
         if self.kind not in NOISE_KINDS:
             raise ValueError(f"noise kind must be one of {NOISE_KINDS}, got {self.kind!r}")
-        if self.kind == "di":
-            if not 0.0 <= self.level < 1.0:
-                raise LevelError(f"removal level must be in [0, 1), got {self.level}")
-        elif self.level < 0.0:
-            raise LevelError(f"noise level must be >= 0, got {self.level}")
+        _check_level(self.kind, self.level)
 
 
 def apply_noise(ps: PointSet, spec: NoiseSpec) -> PointSet:

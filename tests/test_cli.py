@@ -76,13 +76,17 @@ class TestSynth:
         assert radius == pytest.approx(1.0, abs=1e-6)
 
     @pytest.mark.parametrize(
-        "flags", [["--groups", "0"], ["--k", "1"], ["--level", "-1"]]
+        "flags",
+        [["--groups", "0"], ["--k", "1"],
+         ["--level", "-1"], ["--level", "nan"], ["--level", "inf"]],
     )
     def test_bad_arguments_create_nothing(self, tmp_path, capsys, flags):
         out = tmp_path / "data"
         rc = main(["synth", "--out", str(out)] + flags)
         assert rc == 1
-        assert capsys.readouterr().err.startswith("error:")
+        err = capsys.readouterr().err
+        assert err.startswith("error:")
+        assert flags[0] != "--level" or "deformation level" in err
         assert not out.exists()
 
     def test_deterministic(self, tmp_path, capsys):
@@ -402,6 +406,9 @@ class TestErrorPaths:
                 ["--level", "0.2", "--seed", "-1"],
                 ["--level", "0.2", "--members", "3"],
                 ["--level", "0.2", "--members", "0,-1"],
+                # The last --kind wins; no kind takes a non-finite level.
+                *(["--kind", kind, "--level", level]
+                  for kind in ("po", "di", "gd") for level in ("nan", "inf")),
             ]
         ):
             out = tmp_path / f"n{i}"
@@ -489,22 +496,25 @@ class TestErrorPaths:
         before the failure, and nothing else, then exits 1."""
         manifest_path = _synth(tmp_path)
         capsys.readouterr()
-        out = tmp_path / "x"
-        # The decoder overflows on the way to the non-finite drifts; the
-        # suite's filterwarnings = ["error"] asserts that it prints no warning.
-        rc = main(
-            ["align", "--manifest", str(manifest_path), "--out", str(out),
-             "--lr-start", "1e100", "--lr-end", "1e100", "--steps", "20",
-             "--latent-dim", "8", "--hidden", "12,6"]
-        )
-        err = capsys.readouterr().err
-        assert rc == 1
-        assert err.startswith("error:") and "non-finite" in err
-        assert [p.name for p in out.iterdir()] == ["loss_trace.csv"]
-        rows = _read_report(out / "loss_trace.csv")
-        assert rows[0] == ["step", "alignment", "regularizer", "total"]
-        assert 2 <= len(rows) <= 20
-        assert all(math.isfinite(float(v)) for row in rows[1:] for v in row)
+        # At 1e100 the decoder overflows on the way to the non-finite
+        # drifts; at 1e40 the drifts stay finite and the loss overflows.
+        # The suite's filterwarnings = ["error"] asserts that neither run
+        # prints a warning.
+        for lr in ("1e100", "1e40"):
+            out = tmp_path / f"x{lr}"
+            rc = main(
+                ["align", "--manifest", str(manifest_path), "--out", str(out),
+                 "--lr-start", lr, "--lr-end", lr, "--steps", "20",
+                 "--latent-dim", "8", "--hidden", "12,6"]
+            )
+            err = capsys.readouterr().err
+            assert rc == 1
+            assert err.startswith("error:") and "non-finite" in err
+            assert [p.name for p in out.iterdir()] == ["loss_trace.csv"]
+            rows = _read_report(out / "loss_trace.csv")
+            assert rows[0] == ["step", "alignment", "regularizer", "total"]
+            assert 2 <= len(rows) <= 20
+            assert all(math.isfinite(float(v)) for row in rows[1:] for v in row)
 
     def test_failure_at_the_first_step_writes_a_header_only_trace(
         self, tmp_path, capsys, monkeypatch
@@ -593,7 +603,7 @@ class TestManifestValidation:
         self._run(tmp_path, capsys, {"dim": 2, "groups": groups})
         assert not (tmp_path / "data" / "escaped_m00.txt").exists()
 
-    @pytest.mark.parametrize("gid", ["", "a/b", "a\\b", ".."])
+    @pytest.mark.parametrize("gid", ["", "a/b", "a\\b", "..", None, 7, ["a"]])
     def test_other_path_like_group_ids(self, tmp_path, capsys, gid):
         groups = [self._group(gid), self._group("ok")]
         self._run(tmp_path, capsys, {"dim": 2, "groups": groups})

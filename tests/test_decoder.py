@@ -10,7 +10,6 @@ from groupalign.decoder import (
     run_layers,
     run_layers_backward,
 )
-from groupalign.errors import ShapeMismatchError
 
 from oracle import central_difference
 
@@ -324,19 +323,3 @@ def test_a_pass_holds_a_few_blocks_of_activations():
     finally:
         tracemalloc.stop()
     assert peak < 4 * 8 * decoder.BLOCK_ROWS * (3 + sum(hidden))
-
-
-def test_shape_mismatch_errors():
-    """Latent width, point dim, latent count and latent rank are checked."""
-    layers = init_params(2, 6, (8,), seed=17)
-    pts2, pts3 = np.zeros((3, 2)), np.zeros((3, 3))
-    z_ok, z_bad = np.zeros((1, 6)), np.zeros((1, 5))
-    assert forward(layers, pts2, z_ok, [0]).shape == (3, 2)
-    for coords, latents, starts in (
-        (pts2, z_bad, [0]),
-        (pts3, z_ok, [0]),
-        (pts2, np.zeros((2, 6)), [0]),
-        (pts2, np.zeros(6), [0]),
-    ):
-        with pytest.raises(ShapeMismatchError):
-            forward(layers, coords, latents, starts)

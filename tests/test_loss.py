@@ -179,16 +179,6 @@ class TestRegularizedLoss:
         totals = [regularized_loss(sets, drifts, lam).total for lam in (0.0, 0.5, 1.0)]
         assert totals[0] < totals[1] < totals[2]
 
-    def test_pairing_validation(self):
-        sets, drifts = self._random_case(42)
-        with pytest.raises(ShapeMismatchError):
-            regularized_loss(sets, drifts[:2], 0.1)
-        for bad in (drifts[0][:-1], drifts[0][:, :1], np.zeros((12, 3))):
-            with pytest.raises(ShapeMismatchError):
-                regularized_loss(sets, [bad, *drifts[1:]], 0.1)
-        with pytest.raises(ValueError):
-            regularized_loss(sets, drifts, -0.1)
-
 
 class TestGradients:
     def test_two_singletons_by_hand(self):

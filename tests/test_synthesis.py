@@ -75,8 +75,9 @@ class TestTps:
         assert abs(flat.mean()) < 0.01
 
     def test_negative_level_rejected(self, fish):
-        with pytest.raises(LevelError):
-            tps_deform(fish, -0.1, seed=0)
+        for level in (-0.1, np.nan, np.inf):
+            with pytest.raises(LevelError):
+                tps_deform(fish, level, seed=0)
 
 
 class TestOutliers:
@@ -183,6 +184,10 @@ class TestNoiseSpec:
             NoiseSpec("di", 1.0)
         with pytest.raises(LevelError):
             NoiseSpec("po", -0.5)
+        for kind in ("po", "di", "gd"):
+            for level in (np.nan, np.inf):
+                with pytest.raises(LevelError):
+                    NoiseSpec(kind, level)
         NoiseSpec("di", 0.0)  # boundary is allowed
 
     def test_dispatch(self):
