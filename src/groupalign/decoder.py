@@ -6,7 +6,7 @@ the concatenated rows are never built. Hidden layers use ReLU; the final
 layer is affine so drifts can take either sign. Gradients reach the
 weights, biases and latents, but not the input coordinates.
 Both passes run in blocks of at most BLOCK_ROWS rows of one segment; the
-backward pass reuses the forward pass's last block and recomputes the rest.
+backward pass consumes the forward pass's last block and recomputes the rest.
 """
 from __future__ import annotations
 
@@ -80,6 +80,7 @@ def run_layers(
     out = np.empty((coords.shape[0], layers[-1][0].shape[0]))
     kept = []
     for s, lo, hi in _blocks(starts, coords.shape[0]):
+        kept.clear()  # the previous block is dead before the next is computed
         out[lo:hi], kept = _run_block(layers, coords[lo:hi], segment_bias[s])
     return out, kept
 
@@ -91,13 +92,14 @@ def run_layers_backward(
     upstream: np.ndarray,
     latents: np.ndarray,
     starts: Sequence[int],
-    kept: Sequence[np.ndarray],
+    kept: list[np.ndarray],
 ) -> tuple[list[Layer], np.ndarray]:
     """Array-level backward pass for sum(upstream * outputs).
 
-    Walks the blocks from last to first: the last block reuses ``kept``
-    from ``run_layers`` and every other block recomputes its activations.
-    Returns per-layer (dW, db) and one latent gradient row per segment.
+    Walks the blocks from last to first: the last block takes over ``kept``
+    from ``run_layers``, emptying the list, and every other block
+    recomputes its activations. Returns per-layer (dW, db) and one latent
+    gradient row per segment.
     """
     weight0, bias0 = layers[0]
     dim = coords.shape[1]
@@ -107,19 +109,22 @@ def run_layers_backward(
     # Layer 0 sees each segment's latent as a constant input, so its rows'
     # gradients enter the latent terms only through their per-segment sums.
     seg_grad = np.zeros((len(starts), weight0.shape[0]))
+    acts = list(kept)
+    kept.clear()  # the last block now lives in acts only
     for s, lo, hi in reversed(list(_blocks(starts, coords.shape[0]))):
-        if kept is None:
-            kept = _run_block(layers, coords[lo:hi], segment_bias[s])[1]
         grad = upstream[lo:hi]
+        if not acts:
+            acts = _run_block(layers, coords[lo:hi], segment_bias[s])[1]
         for i in range(len(layers) - 1, 0, -1):
             d_weight, d_bias = d_layers[i - 1]
-            d_weight += grad.T @ kept[i - 1]
+            d_weight += grad.T @ acts[-1]
             d_bias += grad.sum(axis=0)
-            # kept[i - 1] is a ReLU output, so its positive entries are the mask.
-            grad = (grad @ layers[i][0]) * (kept[i - 1] > 0.0)
+            # acts[-1] is a ReLU output, so its positive entries are the mask;
+            # grad is a fresh product here, never the upstream view.
+            grad = grad @ layers[i][0]
+            grad *= acts.pop() > 0.0
         d_coords += grad.T @ coords[lo:hi]
         seg_grad[s] += grad.sum(axis=0)
-        kept = None
     d_weight0 = np.hstack([d_coords, seg_grad.T @ latents])
     return [(d_weight0, seg_grad.sum(axis=0)), *d_layers], seg_grad @ weight0[:, dim:]
 

@@ -200,15 +200,14 @@ def _objective(
     drifts, kept = dec.run_layers(layers, x_all, latents, starts)
     if not np.isfinite(drifts).all():
         raise NonFiniteError("drifts became non-finite")
-    transformed = x_all + drifts
     grad_rows = np.empty_like(drifts)
 
     def group_loss(members):
         """One loss group's values; writes only that group's rows of
         grad_rows, so the pool's tasks never share a row."""
         rows = slice(members[0].start, members[-1].stop)
-        views = [transformed[s] for s in members]
-        align_val, align_grads = losses.alignment_terms(views)
+        drifted = [x_all[s] + drifts[s] for s in members]
+        align_val, align_grads = losses.alignment_terms(drifted)
         reg_val, reg_grad = losses.drift_penalty(drifts[rows])
         grad_rows[rows] = np.concatenate(align_grads) + reg_lambda * reg_grad
         return align_val, reg_val
@@ -220,6 +219,7 @@ def _objective(
         reg_total += r_val
     if not math.isfinite(align_total + reg_lambda * reg_total):
         raise NonFiniteError("loss became non-finite")
+    del drifts  # the backward pass reads grad_rows and kept only
     d_layers, d_latents = dec.run_layers_backward(
         layers, x_all, grad_rows, latents, starts, kept
     )
@@ -285,26 +285,23 @@ def _align_scope(
             if converged([r[2] for r in trace_rows], cfg):
                 early = True
                 break
-    finally:
-        if pool is not None:
-            pool.shutdown()
 
-    # Finalize on the same row layout: one batched decode, then each
-    # group's loss on plain arrays.
-    drifts = dec.forward(layers, x_all, latents, starts)
-    if not np.isfinite(drifts).all():
-        raise NonFiniteError("final drifts are non-finite", trace=np.array(trace_rows))
-    for array in (drifts, latents, *chain.from_iterable(layers)):
-        array.setflags(write=False)
-    final_params = dec.DecoderParams(tuple(layers))
-    results = []
-    for i, (g, slices) in enumerate(zip(groups, member_slices)):
-        member_drifts = tuple(drifts[s] for s in slices)
-        breakdown = losses.regularized_loss(
-            [m.points for m in g.members], member_drifts, cfg.reg_lambda
-        )
-        results.append(
-            GroupAlignment(
+        # Finalize on the same row layout: one batched decode, then each
+        # group's losses on plain arrays, on the loss pool.
+        drifts = dec.forward(layers, x_all, latents, starts)
+        if not np.isfinite(drifts).all():
+            raise NonFiniteError("final drifts are non-finite", trace=np.array(trace_rows))
+        for array in (drifts, latents, *chain.from_iterable(layers)):
+            array.setflags(write=False)
+        final_params = dec.DecoderParams(tuple(layers))
+
+        def finalize(i):
+            g, slices = groups[i], member_slices[i]
+            member_drifts = tuple(drifts[s] for s in slices)
+            breakdown = losses.regularized_loss(
+                [m.points for m in g.members], member_drifts, cfg.reg_lambda
+            )
+            return GroupAlignment(
                 group_id=g.group_id,
                 transformed=tuple(PointSet(x_all[s] + drifts[s]) for s in slices),
                 drifts=member_drifts,
@@ -315,7 +312,12 @@ def _align_scope(
                 steps_run=len(trace_rows),
                 decoder_params=None if cfg.share_decoder else final_params,
             )
-        )
+
+        results = list(map_groups(finalize, range(len(groups))))
+    finally:
+        if pool is not None:
+            pool.shutdown()
+
     wall = time.perf_counter() - start_time
     results = [replace(r, wall_seconds=wall) for r in results]
     return results, final_params, np.array(trace_rows), early

@@ -25,7 +25,7 @@ NOISE_KINDS = ("po", "di", "gd")
 # Each kind's level range [0, upper), "tps" for the warp: (name, upper).
 _LEVELS = {
     "tps": ("deformation", math.inf),
-    "po": ("outlier", math.inf),
+    "po": ("outlier", 10.0),  # fewer than ten outliers per point
     "di": ("removal", 1.0),
     "gd": ("displacement", math.inf),
 }

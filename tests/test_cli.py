@@ -120,6 +120,16 @@ class TestNoise:
         for p in noisy.groups[0].members:
             assert len(read_point_set(p)) == 91 + 36  # round(0.4 * 91)
 
+    def test_huge_outlier_level_creates_nothing(self, tmp_path, manifest_path, capsys):
+        out = tmp_path / "po"
+        rc = main(
+            ["noise", "--manifest", str(manifest_path), "--out", str(out),
+             "--kind", "po", "--level", "1e300"]
+        )
+        assert rc == 1
+        assert capsys.readouterr().err.startswith("error: outlier level")
+        assert not out.exists()
+
     def test_patch_removal_shrinks_members(self, tmp_path, manifest_path, capsys):
         out = tmp_path / "di"
         rc = main(

@@ -125,6 +125,7 @@ def test_backward_linear_in_upstream():
     latents = z_vals[None, :]
     _, kept = run_layers(layers, pts, latents, [0])
     layers1, latent1 = run_layers_backward(layers, pts, up, latents, [0], kept)
+    _, kept = run_layers(layers, pts, latents, [0])  # the first call consumed it
     layers2, latent2 = run_layers_backward(
         layers, pts, 2.0 * up, latents, [0], kept
     )
@@ -132,6 +133,18 @@ def test_backward_linear_in_upstream():
     for (w1, b1), (w2, b2) in zip(layers1, layers2):
         np.testing.assert_allclose(w2, 2.0 * w1, rtol=1e-12)
         np.testing.assert_allclose(b2, 2.0 * b1, rtol=1e-12)
+
+
+def test_backward_consumes_kept():
+    """The backward pass takes the forward pass's last block over and
+    empties the caller's list, so the caller holds no activations."""
+    layers = init_params(3, 4, (6, 5), seed=17)
+    coords = np.random.default_rng(18).normal(size=(5000, 3))
+    latents = np.random.default_rng(19).normal(0, 0.1, (2, 4))
+    _, kept = run_layers(layers, coords, latents, [0, 2500])
+    assert len(kept) == 2
+    run_layers_backward(layers, coords, np.ones_like(coords), latents, [0, 2500], kept)
+    assert kept == []
 
 
 def test_forward_rows_are_independent():
@@ -307,7 +320,7 @@ def test_whole_blocks_decode_bit_identically(monkeypatch):
 
 def test_a_pass_holds_a_few_blocks_of_activations():
     """16 segments of 4096 3D rows with a 256-wide latent: one forward and
-    backward pass peaks below four blocks' activations (coordinates and
+    backward pass peaks below three blocks' activations (coordinates and
     hidden layers), where the whole stack would take 32 blocks."""
     rng = np.random.default_rng(27)
     hidden = (128, 64)
@@ -322,4 +335,4 @@ def test_a_pass_holds_a_few_blocks_of_activations():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 4 * 8 * decoder.BLOCK_ROWS * (3 + sum(hidden))
+    assert peak < 3 * 8 * decoder.BLOCK_ROWS * (3 + sum(hidden))

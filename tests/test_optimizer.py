@@ -1,5 +1,6 @@
 import sys
 import time
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -251,6 +252,30 @@ def test_worker_count_does_not_change_results(small_groups):
     for g1, g2 in zip(r1.groups, r2.groups):
         for t1, t2 in zip(g1.transformed, g2.transformed):
             np.testing.assert_array_equal(t1.points, t2.points)
+        # Finalize runs on the loss pool too.
+        assert g1.initial_normalized_cd == g2.initial_normalized_cd
+        assert g1.final_normalized_cd == g2.final_normalized_cd
+        assert g1.final_loss == g2.final_loss
+
+
+def test_objective_holds_about_one_block_of_activations():
+    """Two 3D groups of three 2048-row members, six decoder blocks: one
+    objective call peaks below 2.5 blocks' activations (coordinates and
+    hidden layers). No full drifted copy of the rows outlives the loss, and
+    the forward pass's last block is gone before the backward pass ends."""
+    rng = np.random.default_rng(31)
+    hidden = (128, 64)
+    x_all = rng.normal(size=(6 * 2048, 3))
+    members = [[slice(r, r + 2048) for r in range(g, g + 6144, 2048)] for g in (0, 6144)]
+    layers = decoder.init_params(3, 256, hidden, seed=32)
+    latents = rng.normal(0, 0.1, (2, 256))
+    tracemalloc.start()
+    try:
+        optimizer._objective(layers, latents, x_all, [0, 6144], members, 0.1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2.5 * 8 * decoder.BLOCK_ROWS * (3 + sum(hidden))
 
 
 def test_loss_workers_write_their_own_rows_under_contention(small_fish):

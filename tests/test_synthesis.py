@@ -190,6 +190,14 @@ class TestNoiseSpec:
                     NoiseSpec(kind, level)
         NoiseSpec("di", 0.0)  # boundary is allowed
 
+    def test_outlier_level_is_capped(self):
+        """A huge outlier level names the level instead of failing inside
+        NumPy on an array of about level * N rows."""
+        for level in (10.0, 1e300):
+            with pytest.raises(LevelError, match="outlier level"):
+                NoiseSpec("po", level)
+        NoiseSpec("po", 9.5)
+
     def test_dispatch(self):
         rng = np.random.default_rng(15)
         base = PointSet(rng.normal(size=(40, 2)))
