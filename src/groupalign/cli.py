@@ -23,7 +23,6 @@ from .pointio import (
     GroupManifest,
     ManifestGroup,
     RunReport,
-    RunRow,
     load_groups,
     read_manifest,
     read_point_set,
@@ -43,6 +42,16 @@ def _member_paths(out: Path, groups) -> list[list[Path]]:
     # members get one name and no name leaves `out`.
     return [[out / f"{g.group_id}_m{i:02d}.txt" for i in range(len(g.members))]
             for g in groups]
+
+
+def _write_groups(groups, member_paths, dim, meta, manifest_path) -> None:
+    """Write each group's point sets to its member paths, then the manifest
+    that lists them. ``groups`` holds (group id, point sets) pairs."""
+    for (_, sets), paths in zip(groups, member_paths):
+        for ps, path in zip(sets, paths):
+            write_point_set(ps, path)
+    listed = [ManifestGroup(gid, paths) for (gid, _), paths in zip(groups, member_paths)]
+    write_manifest(GroupManifest(dim, listed, meta), manifest_path)
 
 
 def _refuse_overwrite(inputs, outputs) -> None:
@@ -80,14 +89,9 @@ def _cmd_synth(args) -> int:
     inputs = [] if args.base is None else [args.base]
     _refuse_overwrite(inputs, [*chain.from_iterable(member_paths), manifest_path])
     out.mkdir(parents=True, exist_ok=True)
-
-    manifest_groups = []
-    for group, paths in zip(groups, member_paths):
-        for member, member_path in zip(group.members, paths):
-            write_point_set(member, member_path)
-        manifest_groups.append(ManifestGroup(group.group_id, paths))
     meta = {"level": args.level, "seed": args.seed, "k": args.k}
-    write_manifest(GroupManifest(groups[0].dim, manifest_groups, meta), manifest_path)
+    _write_groups([(g.group_id, g.members) for g in groups], member_paths,
+                  groups[0].dim, meta, manifest_path)
     print(f"wrote {args.groups} group(s) of {args.k} members to {manifest_path}")
     return 0
 
@@ -113,25 +117,25 @@ def _cmd_noise(args) -> int:
         sum(len(g.members) for g in manifest.groups)
     )
     seed_iter = iter(int(s) for s in seeds)
+    noisy = []
+    for g in groups:
+        sets = []
+        for mi, ps in enumerate(g.members):
+            seed = next(seed_iter)
+            if selected is None or mi in selected:
+                ps = apply_noise(ps, dataclasses.replace(spec, seed=seed))
+            sets.append(ps)
+        noisy.append((g.group_id, sets))
+
     out = Path(args.out)
     new_paths = _member_paths(out, manifest.groups)
     manifest_path = out / "manifest.json"
     inputs = [args.manifest, *(m for g in manifest.groups for m in g.members)]
     _refuse_overwrite(inputs, [*chain.from_iterable(new_paths), manifest_path])
     out.mkdir(parents=True, exist_ok=True)
-
-    new_groups = []
-    for g, paths in zip(groups, new_paths):
-        for mi, (ps, new_path) in enumerate(zip(g.members, paths)):
-            seed = next(seed_iter)
-            if selected is None or mi in selected:
-                ps = apply_noise(ps, dataclasses.replace(spec, seed=seed))
-            write_point_set(ps, new_path)
-        new_groups.append(ManifestGroup(g.group_id, paths))
-
     meta = dict(manifest.meta)
     meta["noise"] = {"kind": args.kind, "level": args.level, "seed": args.seed}
-    write_manifest(GroupManifest(manifest.dim, new_groups, meta), manifest_path)
+    _write_groups(noisy, new_paths, manifest.dim, meta, manifest_path)
     print(f"wrote corrupted copies to {manifest_path}")
     return 0
 
@@ -186,27 +190,10 @@ def _cmd_align(args) -> int:
         write_loss_trace([] if err.trace is None else err.trace, trace_path)
         raise
 
-    aligned_groups = []
-    rows = []
-    for ga, paths in zip(result.groups, member_paths):
-        for ps, member_path in zip(ga.transformed, paths):
-            write_point_set(ps, member_path)
-        aligned_groups.append(ManifestGroup(ga.group_id, paths))
-        rows.append(
-            RunRow(
-                group_id=ga.group_id,
-                k=len(ga.transformed),
-                initial_normalized_cd=ga.initial_normalized_cd,
-                final_normalized_cd=ga.final_normalized_cd,
-                steps=ga.steps_run,
-                wall_seconds=ga.wall_seconds,
-            )
-        )
-
-    RunReport(rows).write_csv(report_path)
+    RunReport(result.groups).write_csv(report_path)
     write_loss_trace(result.loss_trace, trace_path)
-    aligned = GroupManifest(manifest.dim, aligned_groups, {"aligned": True})
-    write_manifest(aligned, manifest_path)
+    _write_groups([(ga.group_id, ga.transformed) for ga in result.groups], member_paths,
+                  manifest.dim, {"aligned": True}, manifest_path)
 
     if args.svg and manifest.dim != 2:
         print("skipping SVG output for 3D data", file=sys.stderr)
@@ -214,15 +201,11 @@ def _cmd_align(args) -> int:
         render_svg(g.members, before)
         render_svg(ga.transformed, after)
 
-    for row in rows:
-        drop = 0.0
-        if row.initial_normalized_cd > 0:
-            drop = 100.0 * (1.0 - row.final_normalized_cd / row.initial_normalized_cd)
-        print(
-            f"{row.group_id}: {row.initial_normalized_cd:.6g} -> "
-            f"{row.final_normalized_cd:.6g} ({drop:.1f}% reduction, "
-            f"{row.steps} steps)"
-        )
+    for ga in result.groups:
+        initial, final = ga.initial_normalized_cd, ga.final_normalized_cd
+        drop = 100.0 * (1.0 - final / initial) if initial > 0 else 0.0
+        print(f"{ga.group_id}: {initial:.6g} -> {final:.6g} "
+              f"({drop:.1f}% reduction, {ga.steps_run} steps)")
     print(f"report: {report_path}")
     return 0
 

@@ -140,12 +140,15 @@ def add_outlier_noise(ps: PointSet, level: float, seed: int) -> PointSet:
 def remove_patch(ps: PointSet, level: float, seed: int) -> PointSet:
     """Delete a random anchor point together with its nearest neighbors.
 
-    round(level*N) points go in total; the survivors keep their order.
+    round(level*N) points go in total, which must leave at least one; the
+    survivors keep their order.
     """
     _check_level("di", level)
     count = _round_half_up(level * len(ps))
     if count == 0:
         return ps
+    if count >= len(ps):
+        raise LevelError(f"removal level {level} removes all {len(ps)} points of a set")
     rng = np.random.default_rng(int(seed))
     anchor = int(rng.integers(len(ps)))
     delta = ps.points - ps.points[anchor]

@@ -130,6 +130,20 @@ class TestNoise:
         assert capsys.readouterr().err.startswith("error: outlier level")
         assert not out.exists()
 
+    def test_removing_every_point_creates_nothing(self, tmp_path, capsys):
+        manifest_path = _synth(tmp_path, dim=3, points=96, k=3, seed=1)
+        capsys.readouterr()
+        out = tmp_path / "di"
+        rc = main(
+            ["noise", "--manifest", str(manifest_path), "--out", str(out),
+             "--kind", "di", "--level", "0.995"]
+        )
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: removal level 0.995")
+        assert "all 96 points" in err
+        assert not out.exists()
+
     def test_patch_removal_shrinks_members(self, tmp_path, manifest_path, capsys):
         out = tmp_path / "di"
         rc = main(
@@ -441,6 +455,19 @@ class TestErrorPaths:
         )
         assert rc == 1
         assert capsys.readouterr().err.startswith("error:")
+        assert not out.exists()
+
+    def test_noise_corrupts_every_member_before_writing(self, tmp_path, capsys):
+        manifest_path = _synth(tmp_path)
+        capsys.readouterr()
+        out = tmp_path / "n"
+        # Members 0 and 1 are copied unchanged; member 2 overflows to inf.
+        rc = main(
+            ["noise", "--manifest", str(manifest_path), "--out", str(out),
+             "--kind", "gd", "--level", "1e308", "--members", "2"]
+        )
+        assert rc == 1
+        assert capsys.readouterr().err == "error: points contain non-finite values\n"
         assert not out.exists()
 
     def test_non_finite_member_is_named_and_nothing_is_written(self, tmp_path, capsys):

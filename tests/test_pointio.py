@@ -13,12 +13,12 @@ from groupalign.errors import (
     TooFewSetsError,
 )
 from groupalign.geometry import PointSet
+from groupalign.optimizer import GroupAlignment
 from groupalign.pointio import (
     REPORT_FIELDS,
     GroupManifest,
     ManifestGroup,
     RunReport,
-    RunRow,
     load_groups,
     read_manifest,
     read_point_set,
@@ -182,35 +182,45 @@ class TestManifest:
 
 
 class TestRunReport:
-    def _rows(self):
-        return [
-            RunRow("g000", 7, 0.02, 0.0005, 500, 12.5),
-            RunRow("g001", 7, 0.04, 0.0010, 480, 11.0),
-        ]
-
-    def test_converged_flag(self):
-        assert RunRow("g", 2, 1.0, 0.5, 10, 0.0).converged
-        assert RunRow("g", 2, 1.0, 1.0, 10, 0.0).converged
-        assert not RunRow("g", 2, 1.0, 1.5, 10, 0.0).converged
-
-    def test_aggregates(self):
-        report = RunReport(self._rows())
-        assert report.mean_initial_cd == pytest.approx(0.03, rel=1e-15)
-        assert report.mean_final_cd == pytest.approx(0.00075, rel=1e-15)
+    @staticmethod
+    def _group(gid, k, initial, final, steps, wall):
+        members = tuple(PointSet(np.zeros((3, 2))) for _ in range(k))
+        return GroupAlignment(
+            group_id=gid,
+            transformed=members,
+            drifts=tuple(np.zeros((3, 2)) for _ in range(k)),
+            latent=np.zeros(4),
+            initial_normalized_cd=initial,
+            final_normalized_cd=final,
+            final_loss=None,
+            steps_run=steps,
+            wall_seconds=wall,
+        )
 
     def test_csv_layout(self, tmp_path):
+        groups = [
+            self._group("improved", 7, 0.02, 0.0005, 500, 12.5),
+            self._group("equal", 3, 0.04, 0.04, 480, 11.0),
+            self._group("worse", 2, 1.0 / 3.0, 0.5, 30, 0.25),
+        ]
         path = tmp_path / "report.csv"
-        RunReport(self._rows()).write_csv(path)
+        RunReport(groups).write_csv(path)
         with open(path, newline="") as fh:
             rows = list(csv.reader(fh))
         assert rows[0] == list(REPORT_FIELDS)
-        assert len(rows) == 4
-        assert rows[1][0] == "g000"
-        assert rows[1][6] == "true"
-        assert rows[3][0] == "mean"
-        # the stored means round-trip exactly and match the row values
-        assert float(rows[3][2]) == np.mean([float(rows[1][2]), float(rows[2][2])])
-        assert float(rows[3][3]) == np.mean([float(rows[1][3]), float(rows[2][3])])
+        assert rows[1] == [
+            "improved", "7", "0.02", "0.00050000000000000001", "500", "12.500000", "true"
+        ]
+        assert [r[0] for r in rows[1:]] == ["improved", "equal", "worse", "mean"]
+        assert [r[1] for r in rows[1:4]] == ["7", "3", "2"]
+        assert [r[4] for r in rows[1:4]] == ["500", "480", "30"]
+        # converged: the final value is no worse than the initial one
+        assert [r[6] for r in rows[1:4]] == ["true", "true", "false"]
+        # the CDs round-trip exactly, and the mean row is their mean
+        assert float(rows[3][2]) == 1.0 / 3.0
+        assert rows[4][1] == rows[4][4] == rows[4][5] == rows[4][6] == ""
+        for col in (2, 3):
+            assert float(rows[4][col]) == np.mean([float(r[col]) for r in rows[1:4]])
 
 
 def test_loss_trace_csv(tmp_path):

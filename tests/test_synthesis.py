@@ -151,6 +151,13 @@ class TestRemovePatch:
             remove_patch(base, 0.0, seed=0).points, base.points
         )
 
+    def test_level_that_removes_every_point(self):
+        base = PointSet(np.random.default_rng(0).normal(size=(10, 2)))
+        # round(0.95 * 10) = 10 would leave an empty set
+        with pytest.raises(LevelError, match=r"removal level 0\.95 .* all 10 points"):
+            remove_patch(base, 0.95, seed=0)
+        assert len(remove_patch(base, 0.94, seed=0)) == 1
+
 
 class TestGaussianDisplacement:
     def test_count_and_scale(self):
