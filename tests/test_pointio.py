@@ -197,16 +197,40 @@ class TestRunReport:
             wall_seconds=wall,
         )
 
-    def test_csv_layout(self, tmp_path):
-        groups = [
+    @staticmethod
+    def _rows(groups, tmp_path):
+        path = tmp_path / "report.csv"
+        RunReport(groups).write_csv(path)
+        with open(path, newline="") as fh:
+            return list(csv.reader(fh))
+
+    def _groups(self):
+        return [
             self._group("improved", 7, 0.02, 0.0005, 500, 12.5),
             self._group("equal", 3, 0.04, 0.04, 480, 11.0),
             self._group("worse", 2, 1.0 / 3.0, 0.5, 30, 0.25),
         ]
-        path = tmp_path / "report.csv"
-        RunReport(groups).write_csv(path)
-        with open(path, newline="") as fh:
-            rows = list(csv.reader(fh))
+
+    def test_converged_flag(self, tmp_path):
+        # converged: the final value is no worse than the initial one
+        rows = self._rows(self._groups(), tmp_path)
+        assert [r[6] for r in rows[1:4]] == ["true", "true", "false"]
+
+    def test_aggregates(self, tmp_path):
+        rows = self._rows(
+            [
+                self._group("g000", 7, 0.02, 0.0005, 500, 12.5),
+                self._group("g001", 7, 0.04, 0.0010, 480, 11.0),
+            ],
+            tmp_path,
+        )
+        assert rows[3][0] == "mean"
+        assert float(rows[3][2]) == pytest.approx(0.03, rel=1e-15)
+        assert float(rows[3][3]) == pytest.approx(0.00075, rel=1e-15)
+        assert rows[3][1] == rows[3][4] == rows[3][5] == rows[3][6] == ""
+
+    def test_csv_layout(self, tmp_path):
+        rows = self._rows(self._groups(), tmp_path)
         assert rows[0] == list(REPORT_FIELDS)
         assert rows[1] == [
             "improved", "7", "0.02", "0.00050000000000000001", "500", "12.500000", "true"
@@ -214,8 +238,6 @@ class TestRunReport:
         assert [r[0] for r in rows[1:]] == ["improved", "equal", "worse", "mean"]
         assert [r[1] for r in rows[1:4]] == ["7", "3", "2"]
         assert [r[4] for r in rows[1:4]] == ["500", "480", "30"]
-        # converged: the final value is no worse than the initial one
-        assert [r[6] for r in rows[1:4]] == ["true", "true", "false"]
         # the CDs round-trip exactly, and the mean row is their mean
         assert float(rows[3][2]) == 1.0 / 3.0
         assert rows[4][1] == rows[4][4] == rows[4][5] == rows[4][6] == ""
