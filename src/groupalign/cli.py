@@ -1,13 +1,12 @@
 """Command-line harness: synthesize groups, corrupt them, align, evaluate, plot.
 
 Exit code 0 on success; parse/usage problems exit 2 (argparse), any
-library or I/O error prints a diagnostic to stderr and exits 1.
+library, I/O or allocation error prints a diagnostic to stderr and exits 1.
 """
 from __future__ import annotations
 
 import argparse
 import dataclasses
-import json
 import os
 import sys
 from itertools import chain
@@ -15,7 +14,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import GroupAlignError, NonFiniteError
+from .errors import GroupAlignError, NonFiniteError, ParseError
 from .geometry import PointSet, normalize
 from .loss import normalized_cd
 from .optimizer import OptimConfig, align
@@ -24,6 +23,7 @@ from .pointio import (
     ManifestGroup,
     RunReport,
     load_groups,
+    read_json,
     read_manifest,
     read_point_set,
     write_loss_trace,
@@ -74,8 +74,11 @@ def _cmd_synth(args) -> int:
         raise GroupAlignError(f"--groups must be at least 1, got {args.groups}")
     seeds = np.random.SeedSequence(args.seed).generate_state(2 * args.groups)
     if args.base is not None:
-        bases = [normalize(read_point_set(args.base))] * args.groups
-    elif args.dim == 2:
+        base = normalize(read_point_set(args.base))
+        if args.dim not in (None, base.dim):
+            raise GroupAlignError(f"--dim {args.dim}, but {args.base} is {base.dim}D")
+        bases = [base] * args.groups
+    elif args.dim in (None, 2):
         bases = [fish_shape()] * args.groups
     else:
         bases = [blob_shape(args.points, int(s)) for s in seeds[0::2]]
@@ -143,24 +146,30 @@ def _cmd_noise(args) -> int:
 def _load_config(args) -> OptimConfig:
     values = {}
     if args.config is not None:
-        with open(args.config, "r", encoding="utf-8") as fh:
-            raw = json.load(fh)
+        raw = read_json(args.config)
         if not isinstance(raw, dict):
-            raise GroupAlignError(f"{args.config}: config must be a JSON object")
+            raise ParseError("config must be a JSON object", path=args.config)
         if "lambda" in raw:  # accepted alias
             if "reg_lambda" in raw:
-                raise GroupAlignError(
-                    f"{args.config}: set 'lambda' or 'reg_lambda', not both"
+                raise ParseError(
+                    "set 'lambda' or 'reg_lambda', not both", path=args.config
                 )
             raw["reg_lambda"] = raw.pop("lambda")
         unknown = set(raw) - set(CONFIG_KEYS)
         if unknown:
-            raise GroupAlignError(f"{args.config}: unknown config keys {sorted(unknown)}")
+            raise ParseError(f"unknown config keys {sorted(unknown)}", path=args.config)
         values.update(raw)
     # Flags are stored under their config keys and left None when not given.
     for key in CONFIG_KEYS:
         if getattr(args, key, None) is not None:
             values[key] = getattr(args, key)
+    if args.hidden is not None:
+        # Parsed here, since argparse turns any ValueError from a type
+        # function into a usage error (exit 2).
+        try:
+            values["hidden"] = tuple(int(tok) for tok in args.hidden.split(","))
+        except ValueError as exc:
+            raise GroupAlignError(f"--hidden: {exc}") from None
     return OptimConfig(**values)
 
 
@@ -230,15 +239,6 @@ def _cmd_plot(args) -> int:
     return 0
 
 
-def _widths(text: str) -> tuple[int, ...]:
-    # argparse turns a ValueError into a usage error (exit 2); a GroupAlignError
-    # passes through, so a malformed --hidden exits 1 like other bad settings.
-    try:
-        return tuple(int(tok) for tok in text.split(","))
-    except ValueError as exc:
-        raise GroupAlignError(f"--hidden: {exc}") from None
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="groupalign",
@@ -252,7 +252,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--level", type=float, default=0.4, help="deformation level")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--groups", type=int, default=1, help="number of groups")
-    p.add_argument("--dim", type=int, choices=(2, 3), default=2)
+    p.add_argument("--dim", type=int, choices=(2, 3), default=None,
+                   help="2 or 3 (default: the --base file's, else 2)")
     p.add_argument("--base", default=None, help="point file to use as the base shape")
     p.add_argument("--points", type=int, default=2048, help="3D base cardinality")
     p.set_defaults(func=_cmd_synth)
@@ -277,9 +278,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--steps", dest="max_steps", type=int, default=None)
     p.add_argument("--lambda", dest="reg_lambda", type=float, default=None)
     p.add_argument("--latent-dim", type=int, default=None)
-    p.add_argument(
-        "--hidden", type=_widths, default=None, help="comma-separated hidden widths"
-    )
+    p.add_argument("--hidden", default=None, help="comma-separated hidden widths")
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--lr-start", type=float, default=None)
     p.add_argument("--lr-end", type=float, default=None)
@@ -307,8 +306,8 @@ def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
         return args.func(args)
-    except (GroupAlignError, ValueError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (ValueError, OSError, MemoryError) as exc:
+        print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return 1
 
 

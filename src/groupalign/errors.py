@@ -1,58 +1,28 @@
-"""Exception types shared across the package.
+"""The package's three exception types, one per thing a caller can act on.
 
-Everything raised by the library on bad input or a failed numeric
-precondition derives from ``GroupAlignError``, so callers (and the CLI)
-can catch one base class. Most subclasses also derive from ``ValueError``
-because they signal invalid argument values.
+``GroupAlignError`` is any bad input or setting, and a ``ValueError``, so
+callers (and the CLI) catch one class. ``ParseError`` also names the file
+(``path``) and, where one is at fault, the 1-based ``line``.
+``NonFiniteError`` is raised when a coordinate, drift, loss or gradient
+is not finite; mid-optimization its ``trace`` holds the per-step loss
+rows gathered before the failure.
 """
 
 
-class GroupAlignError(Exception):
-    """Base class for all library errors."""
+class GroupAlignError(ValueError):
+    """A bad input or setting."""
 
 
-class EmptySetError(GroupAlignError, ValueError):
-    """An operation that needs at least one point got an empty set."""
-
-
-class DegenerateSetError(GroupAlignError, ValueError):
-    """All points coincide, so there is no scale to normalize by."""
-
-
-class ShapeMismatchError(GroupAlignError, ValueError):
-    """Array lengths, dimensionalities, or shapes disagree."""
-
-
-class TooFewSetsError(GroupAlignError, ValueError):
-    """A groupwise operation needs at least two point sets."""
-
-
-class LevelError(GroupAlignError, ValueError):
-    """A noise or deformation level is outside its valid range."""
-
-
-class SingularTpsError(GroupAlignError, ValueError):
-    """The thin-plate-spline system is singular (degenerate controls)."""
-
-
-class NonFiniteError(GroupAlignError, ValueError):
-    """A value that must be finite (coordinate, gradient, loss) is not.
-
-    When raised mid-optimization, ``trace`` carries the per-step loss
-    rows accumulated before the failure.
-    """
+class NonFiniteError(GroupAlignError):
+    """A value that must be finite is not; ``trace`` holds the losses so far."""
 
     def __init__(self, message: str, trace=None):
         super().__init__(message)
         self.trace = trace
 
 
-class ParseError(GroupAlignError, ValueError):
-    """A point file or manifest could not be parsed.
-
-    ``path`` and ``line`` (1-based, or None when not line-specific)
-    locate the offending input.
-    """
+class ParseError(GroupAlignError):
+    """An input file could not be read; ``path`` and ``line`` locate it."""
 
     def __init__(self, message: str, path=None, line=None):
         where = ""
@@ -63,11 +33,3 @@ class ParseError(GroupAlignError, ValueError):
         super().__init__(f"{where}{message}")
         self.path = path
         self.line = line
-
-
-class EmptyFileError(ParseError):
-    """A point file contains no data lines."""
-
-
-class MixedDimensionalityError(ParseError):
-    """A point file mixes 2- and 3-column rows."""

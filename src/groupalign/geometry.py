@@ -10,13 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    DegenerateSetError,
-    EmptySetError,
-    NonFiniteError,
-    ShapeMismatchError,
-    TooFewSetsError,
-)
+from .errors import GroupAlignError, NonFiniteError
 
 VALID_DIMS = (2, 3)
 
@@ -33,7 +27,7 @@ class PointSet:
     def __post_init__(self):
         arr = np.array(self.points, dtype=np.float64)
         if arr.ndim != 2 or arr.shape[1] not in VALID_DIMS:
-            raise ShapeMismatchError(
+            raise GroupAlignError(
                 f"points must have shape (N, 2) or (N, 3), got {arr.shape}"
             )
         if not np.isfinite(arr).all():
@@ -62,12 +56,12 @@ class Group:
     def __post_init__(self):
         members = tuple(self.members)
         if len(members) < 2:
-            raise TooFewSetsError(
+            raise GroupAlignError(
                 f"a group needs at least 2 members, got {len(members)}"
             )
         dims = {m.dim for m in members}
         if len(dims) != 1:
-            raise ShapeMismatchError(f"group members mix dimensionalities: {dims}")
+            raise GroupAlignError(f"group members mix dimensionalities: {dims}")
         object.__setattr__(self, "members", members)
 
     @property
@@ -85,11 +79,11 @@ def normalize(ps: PointSet) -> PointSet:
     The returned set has centroid at the origin and max distance 1 from it.
     """
     if len(ps) == 0:
-        raise EmptySetError("cannot normalize an empty point set")
+        raise GroupAlignError("cannot normalize an empty point set")
     centered = ps.points - ps.points.mean(axis=0)
     radius = float(np.sqrt((centered * centered).sum(axis=1).max()))
     if radius == 0.0:
-        raise DegenerateSetError("all points coincide; no scale to normalize by")
+        raise GroupAlignError("all points coincide; no scale to normalize by")
     return PointSet(centered / radius)
 
 

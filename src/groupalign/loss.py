@@ -16,24 +16,15 @@ from typing import Sequence
 import numpy as np
 from scipy.spatial import cKDTree
 
-from .errors import EmptySetError, ShapeMismatchError, TooFewSetsError
 from .geometry import PointSet
 
 
-def _checked(arrays: list[np.ndarray]) -> list[np.ndarray]:
-    if len(arrays) < 2:
-        raise TooFewSetsError(f"need at least 2 sets, got {len(arrays)}")
-    dims = {a.shape[1] for a in arrays}
-    if len(dims) != 1:
-        raise ShapeMismatchError(f"sets mix dimensionalities: {dims}")
-    if any(a.shape[0] == 0 for a in arrays):
-        raise EmptySetError("groupwise loss needs non-empty sets")
-    return arrays
-
-
 def groupwise_chamfer(sets: Sequence[PointSet]) -> float:
-    """Sum of pairwise Chamfer distances over all ordered pairs of sets."""
-    return alignment_terms(_checked([s.points for s in sets]))[0]
+    """Sum of pairwise Chamfer distances over all ordered pairs of sets.
+
+    The sets are a group's members: at least two, non-empty, of one
+    dimensionality, as ``Group`` and ``align`` check."""
+    return alignment_terms([s.points for s in sets])[0]
 
 
 def _per_pair_point(total: float, sets: Sequence) -> float:

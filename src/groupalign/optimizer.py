@@ -23,7 +23,7 @@ import numpy as np
 
 from . import decoder as dec
 from . import loss as losses
-from .errors import EmptySetError, NonFiniteError, ShapeMismatchError, TooFewSetsError
+from .errors import GroupAlignError, NonFiniteError
 from .geometry import Group, PointSet, init_gld
 
 
@@ -60,11 +60,11 @@ _FIELD_KINDS = {
 def _check_kind(name: str, value, kind: type, wording: str) -> None:
     # bool is an Integral, but a flag where a count belongs is a mistake.
     if not isinstance(value, kind) or (isinstance(value, bool) and kind is not bool):
-        raise ValueError(f"{name} must be {wording}, got {value!r}")
+        raise GroupAlignError(f"{name} must be {wording}, got {value!r}")
     # JSON and argparse's float() both accept NaN and infinity, and a JSON
     # integer can be too large for a float; the comparison is exact for both.
     if kind is numbers.Real and not abs(value) <= sys.float_info.max:
-        raise ValueError(f"{name} must be finite, got {value!r}")
+        raise GroupAlignError(f"{name} must be finite, got {value!r}")
 
 
 @dataclass
@@ -91,32 +91,34 @@ class OptimConfig:
         try:
             hidden = tuple(self.hidden)
         except TypeError:
-            raise ValueError(
+            raise GroupAlignError(
                 f"hidden must be a sequence of widths, got {self.hidden!r}"
             ) from None
         for h in hidden:
             _check_kind("hidden widths", h, *_FIELD_KINDS["int"])
         self.hidden = tuple(int(h) for h in hidden)
         if self.max_steps < 1:
-            raise ValueError(f"max_steps must be >= 1, got {self.max_steps}")
+            raise GroupAlignError(f"max_steps must be >= 1, got {self.max_steps}")
         if not (self.lr_start >= self.lr_end > 0.0):
-            raise ValueError(
+            raise GroupAlignError(
                 f"need lr_start >= lr_end > 0, got {self.lr_start}, {self.lr_end}"
             )
         if self.lr_decay_steps < 1:
-            raise ValueError(f"lr_decay_steps must be >= 1, got {self.lr_decay_steps}")
+            raise GroupAlignError(
+                f"lr_decay_steps must be >= 1, got {self.lr_decay_steps}"
+            )
         if self.reg_lambda < 0.0:
-            raise ValueError(f"reg_lambda must be >= 0, got {self.reg_lambda}")
+            raise GroupAlignError(f"reg_lambda must be >= 0, got {self.reg_lambda}")
         if self.latent_dim < 1:
-            raise ValueError(f"latent_dim must be >= 1, got {self.latent_dim}")
+            raise GroupAlignError(f"latent_dim must be >= 1, got {self.latent_dim}")
         if not self.hidden or any(h < 1 for h in self.hidden):
-            raise ValueError(f"hidden widths must be positive, got {self.hidden}")
+            raise GroupAlignError(f"hidden widths must be positive, got {self.hidden}")
         if self.seed < 0:
-            raise ValueError(f"seed must be >= 0, got {self.seed}")
+            raise GroupAlignError(f"seed must be >= 0, got {self.seed}")
         if self.convergence_rel_tol < 0.0 or self.convergence_window < 1:
-            raise ValueError("convergence settings out of range")
+            raise GroupAlignError("convergence settings out of range")
         if self.workers < 1:
-            raise ValueError(f"workers must be >= 1, got {self.workers}")
+            raise GroupAlignError(f"workers must be >= 1, got {self.workers}")
 
 
 def lr_at(step: int, cfg: OptimConfig) -> float:
@@ -336,13 +338,13 @@ def align(groups: Sequence[Group], cfg: OptimConfig | None = None) -> AlignmentR
         cfg = OptimConfig()
     groups = list(groups)
     if not groups:
-        raise TooFewSetsError("align needs at least one group")
+        raise GroupAlignError("align needs at least one group")
     dims = {g.dim for g in groups}
     if len(dims) != 1:
-        raise ShapeMismatchError(f"groups mix dimensionalities: {dims}")
+        raise GroupAlignError(f"groups mix dimensionalities: {dims}")
     for g in groups:
         if any(len(m) == 0 for m in g.members):
-            raise EmptySetError(f"group {g.group_id!r} has an empty member")
+            raise GroupAlignError(f"group {g.group_id!r} has an empty member")
 
     theta_seed, z_seeds = _scope_seeds(cfg, len(groups))
     # One scope holds every group, or each group is a scope with the seeds

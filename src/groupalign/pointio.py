@@ -17,13 +17,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import (
-    EmptyFileError,
-    MixedDimensionalityError,
-    ParseError,
-    ShapeMismatchError,
-    TooFewSetsError,
-)
+from .errors import ParseError
 from .geometry import Group, PointSet, VALID_DIMS
 
 
@@ -32,36 +26,41 @@ def read_point_set(path: str | Path) -> PointSet:
     path = Path(path)
     rows: list[list[float]] = []
     dim: int | None = None
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            fields = line.split()
-            if len(fields) not in VALID_DIMS:
-                raise ParseError(
-                    f"expected 2 or 3 columns, got {len(fields)}",
-                    path=path,
-                    line=lineno,
-                )
-            if dim is None:
-                dim = len(fields)
-            elif len(fields) != dim:
-                raise MixedDimensionalityError(
-                    f"row has {len(fields)} columns, file started with {dim}",
-                    path=path,
-                    line=lineno,
-                )
-            try:
-                row = [float(f) for f in fields]
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            for lineno, raw in enumerate(fh, start=1):
+                line = raw.strip()
+                if not line or line.startswith("#"):
+                    continue
+                fields = line.split()
+                if len(fields) not in VALID_DIMS:
+                    raise ParseError(
+                        f"expected 2 or 3 columns, got {len(fields)}",
+                        path=path,
+                        line=lineno,
+                    )
+                if dim is None:
+                    dim = len(fields)
+                elif len(fields) != dim:
+                    raise ParseError(
+                        f"row has {len(fields)} columns, file started with {dim}",
+                        path=path,
+                        line=lineno,
+                    )
+                try:
+                    row = [float(f) for f in fields]
+                except ValueError as exc:
+                    raise ParseError(str(exc), path=path, line=lineno) from None
                 # float() accepts 'nan' and 'inf', and overflows '1e400' to inf.
                 if not all(map(math.isfinite, row)):
-                    raise ValueError(f"non-finite coordinate in {line!r}")
-            except ValueError as exc:
-                raise ParseError(str(exc), path=path, line=lineno) from exc
-            rows.append(row)
+                    raise ParseError(
+                        f"non-finite coordinate in {line!r}", path=path, line=lineno
+                    )
+                rows.append(row)
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"not UTF-8 text: {exc}", path=path) from None
     if not rows:
-        raise EmptyFileError("no data lines", path=path)
+        raise ParseError("no data lines", path=path)
     return PointSet(np.array(rows))
 
 
@@ -111,14 +110,19 @@ def write_manifest(manifest: GroupManifest, path: str | Path) -> None:
         fh.write("\n")
 
 
+def read_json(path: str | Path):
+    """Load a UTF-8 JSON file; a ParseError names the file if it is not one."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return json.load(fh)
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+        raise ParseError(f"invalid JSON: {exc}", path=path) from None
+
+
 def read_manifest(path: str | Path) -> GroupManifest:
     """Load a manifest; member paths come back resolved against its folder."""
     path = Path(path)
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            payload = json.load(fh)
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"invalid JSON: {exc}", path=path) from exc
+    payload = read_json(path)
     if not isinstance(payload, dict):
         raise ParseError("manifest must be a JSON object", path=path)
     try:
@@ -155,8 +159,9 @@ def read_manifest(path: str | Path) -> GroupManifest:
             raise ParseError(f"group id {gid!r} appears twice", path=path)
         seen.add(gid)
         if len(members) < 2:
-            raise TooFewSetsError(
-                f"group {gid!r} lists {len(members)} members, need at least 2"
+            raise ParseError(
+                f"group {gid!r} lists {len(members)} members, need at least 2",
+                path=path,
             )
         groups.append(ManifestGroup(gid, members))
     meta = payload.get("meta", {})
@@ -173,8 +178,8 @@ def load_groups(manifest: GroupManifest) -> list[Group]:
         for m in g.members:
             ps = read_point_set(m)
             if ps.dim != manifest.dim:
-                raise ShapeMismatchError(
-                    f"{m}: file is {ps.dim}D but manifest says {manifest.dim}D"
+                raise ParseError(
+                    f"file is {ps.dim}D but manifest says {manifest.dim}D", path=m
                 )
             members.append(ps)
         out.append(Group(tuple(members), g.group_id))

@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from .errors import GroupAlignError
 from .geometry import PointSet, normalize
 
 FISH_POINTS = 91
@@ -64,7 +65,7 @@ def blob_shape(n: int = 2048, seed: int = 0) -> PointSet:
     anisotropically. Output is normalized into the unit ball.
     """
     if n < 4:
-        raise ValueError(f"need at least 4 points for a 3D shape, got {n}")
+        raise GroupAlignError(f"need at least 4 points for a 3D shape, got {n}")
     rng = np.random.default_rng(int(seed))
 
     i = np.arange(n)

@@ -6,7 +6,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import ShapeMismatchError
+from .errors import GroupAlignError
 from .geometry import PointSet
 
 PALETTE = (
@@ -44,7 +44,7 @@ def render_svg(sets: Sequence[PointSet], path: str | Path) -> None:
     """
     for s in sets:
         if s.dim != 2:
-            raise ShapeMismatchError("SVG rendering works on 2D point sets only")
+            raise GroupAlignError("SVG rendering works on 2D point sets only")
 
     if sets and any(len(s) for s in sets):
         stacked = np.vstack([s.points for s in sets if len(s)])

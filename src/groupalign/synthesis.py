@@ -14,7 +14,7 @@ import numpy as np
 from scipy.spatial.distance import cdist
 from scipy.special import xlogy
 
-from .errors import LevelError, SingularTpsError
+from .errors import GroupAlignError
 from .geometry import Group, PointSet
 
 TPS_RIDGE = 1e-8
@@ -32,11 +32,11 @@ _LEVELS = {
 
 
 def _check_level(kind: str, level: float) -> None:
-    """Raise LevelError unless 0 <= level < upper, which nan and inf fail."""
+    """Raise GroupAlignError unless 0 <= level < upper, which nan and inf fail."""
     name, upper = _LEVELS[kind]
     if not 0.0 <= level < upper:
         bound = "finite and >= 0" if upper == math.inf else f"in [0, {upper:g})"
-        raise LevelError(f"{name} level must be {bound}, got {level}")
+        raise GroupAlignError(f"{name} level must be {bound}, got {level}")
 
 
 def _round_half_up(x: float) -> int:
@@ -74,7 +74,7 @@ def fit_tps(control: np.ndarray, targets: np.ndarray) -> TpsWarp:
     """
     n, dim = control.shape
     if np.unique(control, axis=0).shape[0] < n:
-        raise SingularTpsError("duplicate control points make the system singular")
+        raise GroupAlignError("duplicate control points make the system singular")
 
     kernel = _tps_kernel(cdist(control, control), dim)
     kernel[np.diag_indices(n)] += TPS_RIDGE
@@ -88,7 +88,7 @@ def fit_tps(control: np.ndarray, targets: np.ndarray) -> TpsWarp:
     try:
         solution = np.linalg.solve(system, rhs)
     except np.linalg.LinAlgError as exc:
-        raise SingularTpsError(f"TPS system could not be solved: {exc}") from exc
+        raise GroupAlignError(f"TPS system could not be solved: {exc}") from exc
     return TpsWarp(
         control_points=control,
         perturbed_targets=targets,
@@ -148,7 +148,9 @@ def remove_patch(ps: PointSet, level: float, seed: int) -> PointSet:
     if count == 0:
         return ps
     if count >= len(ps):
-        raise LevelError(f"removal level {level} removes all {len(ps)} points of a set")
+        raise GroupAlignError(
+            f"removal level {level} removes all {len(ps)} points of a set"
+        )
     rng = np.random.default_rng(int(seed))
     anchor = int(rng.integers(len(ps)))
     delta = ps.points - ps.points[anchor]
@@ -176,7 +178,9 @@ class NoiseSpec:
 
     def __post_init__(self):
         if self.kind not in NOISE_KINDS:
-            raise ValueError(f"noise kind must be one of {NOISE_KINDS}, got {self.kind!r}")
+            raise GroupAlignError(
+                f"noise kind must be one of {NOISE_KINDS}, got {self.kind!r}"
+            )
         _check_level(self.kind, self.level)
 
 
@@ -193,7 +197,7 @@ def make_group(
 ) -> Group:
     """Build a group of k independently deformed copies of one base shape."""
     if k < 2:
-        raise ValueError(f"a group needs at least 2 members, got k={k}")
+        raise GroupAlignError(f"a group needs at least 2 members, got k={k}")
     member_seeds = np.random.SeedSequence(int(seed)).generate_state(k)
     members = tuple(tps_deform(base, level, int(s)) for s in member_seeds)
     return Group(members, group_id)

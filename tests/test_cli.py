@@ -89,6 +89,20 @@ class TestSynth:
         assert flags[0] != "--level" or "deformation level" in err
         assert not out.exists()
 
+    def test_dim_must_match_the_base_file(self, tmp_path, capsys):
+        """--dim defaults to the --base file's dimension; a --dim that
+        differs from it is refused before anything is written."""
+        base = tmp_path / "base.txt"
+        rng = np.random.default_rng(49)
+        base.write_text("\n".join(f"{x} {y}" for x, y in rng.normal(size=(30, 2))))
+        out = tmp_path / "data"
+        rc = main(["synth", "--out", str(out), "--base", str(base), "--dim", "3"])
+        assert rc == 1
+        assert capsys.readouterr().err == f"error: --dim 3, but {base} is 2D\n"
+        assert not out.exists()
+        assert read_manifest(_synth(tmp_path, name="implied", base=base)).dim == 2
+        assert read_manifest(_synth(tmp_path, name="stated", base=base, dim=2)).dim == 2
+
     def test_deterministic(self, tmp_path, capsys):
         m1 = _synth(tmp_path, name="d1")
         m2 = _synth(tmp_path, name="d2")
@@ -515,6 +529,21 @@ class TestErrorPaths:
         assert capsys.readouterr().err.startswith("error:")
         assert not (tmp_path / "x").exists()
 
+    @pytest.mark.parametrize("message", ["Unable to allocate 22.4 TiB", ""])
+    def test_allocation_failure_exits_one(self, tmp_path, capsys, monkeypatch, message):
+        manifest_path = _synth(tmp_path)
+        capsys.readouterr()
+
+        def out_of_memory(groups, cfg):
+            raise MemoryError(message)
+
+        monkeypatch.setattr(cli, "align", out_of_memory)
+        rc = main(
+            ["align", "--manifest", str(manifest_path), "--out", str(tmp_path / "x")]
+        )
+        assert rc == 1
+        assert capsys.readouterr().err == f"error: {message or 'MemoryError'}\n"
+
     def test_malformed_hidden_exits_one(self, tmp_path, capsys):
         manifest_path = _synth(tmp_path)
         capsys.readouterr()
@@ -596,6 +625,60 @@ class TestErrorPaths:
         assert err.startswith("error:")
         assert "input" in err
         assert {p: p.read_bytes() for p in data.iterdir()} == before
+
+
+class TestUnreadableFiles:
+    """An input file that is not UTF-8 or not JSON, or a manifest group of
+    one member, exits 1 with the file's path after "error:", and nothing
+    is written."""
+
+    def _run(self, tmp_path, capsys, argv, bad):
+        before = sorted(tmp_path.rglob("*"))
+        rc = main([str(arg) for arg in argv])
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert err.startswith(f"error: {bad}: ")
+        assert sorted(tmp_path.rglob("*")) == before
+        return err
+
+    @pytest.mark.parametrize("command", ["eval", "align"])
+    def test_non_utf8_member_file(self, tmp_path, capsys, command):
+        manifest_path = _synth(tmp_path)
+        capsys.readouterr()
+        bad = read_manifest(manifest_path).groups[0].members[1]
+        bad.write_bytes(b"\xff\xfe0 1\n")
+        extra = ["--out", tmp_path / "x"] if command == "align" else []
+        self._run(tmp_path, capsys, [command, "--manifest", manifest_path, *extra], bad)
+
+    def test_non_utf8_manifest(self, tmp_path, capsys):
+        bad = tmp_path / "manifest.json"
+        bad.write_bytes(b'{"dim": 2, "groups": ["\xff"]}')
+        argv = ["align", "--manifest", bad, "--out", tmp_path / "x"]
+        self._run(tmp_path, capsys, argv, bad)
+
+    def test_non_utf8_plot_file(self, tmp_path, capsys):
+        good, bad = tmp_path / "a.txt", tmp_path / "b.txt"
+        good.write_text("0 1\n1 0\n")
+        bad.write_bytes(b"0 1\n\xff 0\n")
+        self._run(tmp_path, capsys, ["plot", good, bad, "--out", tmp_path / "x.svg"], bad)
+
+    def test_truncated_config(self, tmp_path, capsys):
+        manifest_path = _synth(tmp_path)
+        capsys.readouterr()
+        bad = tmp_path / "bad.json"
+        bad.write_text('{"max_steps": 5, ')
+        argv = ["align", "--manifest", manifest_path, "--out", tmp_path / "x",
+                "--config", bad]
+        self._run(tmp_path, capsys, argv, bad)
+
+    def test_one_member_group(self, tmp_path, capsys):
+        (tmp_path / "p.txt").write_text("0 1\n1 0\n")
+        bad = tmp_path / "manifest.json"
+        group = {"id": "g", "members": ["p.txt"]}
+        bad.write_text(json.dumps({"dim": 2, "groups": [group]}))
+        argv = ["align", "--manifest", bad, "--out", tmp_path / "x"]
+        err = self._run(tmp_path, capsys, argv, bad)
+        assert "group 'g' lists 1 members, need at least 2" in err
 
 
 class TestManifestValidation:

@@ -1,7 +1,6 @@
 import numpy as np
 import pytest
 
-from groupalign.errors import EmptySetError, ShapeMismatchError, TooFewSetsError
 from groupalign.geometry import PointSet
 from groupalign.loss import (
     _nearest,
@@ -50,12 +49,6 @@ class TestNearest:
             assert got_idx == ref_idx
             assert got_dist**2 == pytest.approx(ref_sq, rel=1e-12)
 
-    def test_empty_and_mismatch(self):
-        with pytest.raises(EmptySetError):
-            normalized_cd([PointSet(np.empty((0, 2))), PointSet([[0.0, 0.0]])])
-        with pytest.raises(ShapeMismatchError):
-            normalized_cd([PointSet(np.zeros((3, 2))), PointSet(np.zeros((3, 3)))])
-
 
 class TestChamfer:
     def test_singletons(self):
@@ -99,12 +92,6 @@ class TestChamfer:
             got = _pair(PointSet(a), PointSet(b))
             assert got == pytest.approx(chamfer_slow(a, b), rel=1e-12)
 
-    def test_errors(self):
-        with pytest.raises(ShapeMismatchError):
-            _pair(PointSet([[0.0, 0.0]]), PointSet([[0.0, 0.0, 0.0]]))
-        with pytest.raises(EmptySetError):
-            _pair(PointSet(np.empty((0, 2))), PointSet([[0.0, 0.0]]))
-
 
 class TestGroupwise:
     def test_two_singletons(self):
@@ -127,10 +114,6 @@ class TestGroupwise:
         arrays = [rng.normal(size=(11, 3)) for _ in range(3)]
         got = groupwise_chamfer([PointSet(a) for a in arrays])
         assert got == pytest.approx(groupwise_slow(arrays), rel=1e-12)
-
-    def test_needs_two_sets(self):
-        with pytest.raises(TooFewSetsError):
-            groupwise_chamfer([PointSet([[0.0, 0.0]])])
 
     def test_normalized_two_singletons(self):
         sets = [PointSet([[0.0, 0.0]]), PointSet([[3.0, 4.0]])]

@@ -2,6 +2,7 @@ import re
 from pathlib import Path
 
 import groupalign
+from groupalign import errors
 
 EXPORTS = {
     "AlignmentResult",
@@ -29,3 +30,16 @@ def test_exports_are_what_align_and_the_readme_use():
     [imported] = re.findall(r"^from groupalign import (.+)$", library_use, re.M)
     names = {n.strip() for n in imported.split(",")}
     assert names and names <= EXPORTS
+
+
+def test_three_exception_types():
+    """groupalign.errors defines exactly GroupAlignError, a ValueError, and
+    its two subclasses ParseError and NonFiniteError."""
+    defined = {
+        name for name, obj in vars(errors).items()
+        if isinstance(obj, type) and issubclass(obj, BaseException)
+    }
+    assert defined == {"GroupAlignError", "ParseError", "NonFiniteError"}
+    assert issubclass(errors.GroupAlignError, ValueError)
+    assert issubclass(errors.ParseError, errors.GroupAlignError)
+    assert issubclass(errors.NonFiniteError, errors.GroupAlignError)

@@ -5,13 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from groupalign.errors import (
-    EmptyFileError,
-    MixedDimensionalityError,
-    ParseError,
-    ShapeMismatchError,
-    TooFewSetsError,
-)
+from groupalign.errors import ParseError
 from groupalign.geometry import PointSet
 from groupalign.optimizer import GroupAlignment
 from groupalign.pointio import (
@@ -43,7 +37,7 @@ class TestPointFiles:
     def test_mixed_columns_rejected_with_line_number(self, tmp_path):
         p = tmp_path / "bad.txt"
         p.write_text("1 2\n3 4 5\n")
-        with pytest.raises(MixedDimensionalityError) as exc:
+        with pytest.raises(ParseError, match="3 columns, file started with 2") as exc:
             read_point_set(p)
         assert exc.value.line == 2
         assert "line 2" in str(exc.value)
@@ -74,8 +68,17 @@ class TestPointFiles:
     def test_empty_file(self, tmp_path):
         p = tmp_path / "empty.txt"
         p.write_text("# nothing but comments\n\n")
-        with pytest.raises(EmptyFileError):
+        with pytest.raises(ParseError, match="no data lines") as exc:
             read_point_set(p)
+        assert exc.value.path == p
+
+    def test_non_utf8_file_names_the_file(self, tmp_path):
+        p = tmp_path / "binary.txt"
+        p.write_bytes(b"\xff\xfe 1 2\n")
+        with pytest.raises(ParseError, match="not UTF-8 text") as exc:
+            read_point_set(p)
+        assert exc.value.path == p
+        assert str(exc.value).startswith(f"{p}: ")
 
     def test_missing_file(self, tmp_path):
         with pytest.raises(FileNotFoundError):
@@ -149,7 +152,7 @@ class TestManifest:
         members = self._write_members(tmp_path, ["a.txt", "b.txt"])
         mp = tmp_path / "manifest.json"
         write_manifest(GroupManifest(3, [ManifestGroup("g0", members)]), mp)
-        with pytest.raises(ShapeMismatchError):
+        with pytest.raises(ParseError, match="a.txt: file is 2D but manifest says 3D"):
             load_groups(read_manifest(mp))
 
     def test_load_groups_missing_member(self, tmp_path):
@@ -177,8 +180,16 @@ class TestManifest:
         mp.write_text(
             json.dumps({"dim": 2, "groups": [{"id": "g", "members": ["a.txt"]}]})
         )
-        with pytest.raises(TooFewSetsError):
+        with pytest.raises(ParseError, match="'g' lists 1 members, need at least") as exc:
             read_manifest(mp)
+        assert exc.value.path == mp
+
+    def test_non_utf8_manifest_names_the_file(self, tmp_path):
+        mp = tmp_path / "manifest.json"
+        mp.write_bytes(b'{"dim": 2, "groups": ["\xff"]}')
+        with pytest.raises(ParseError, match="invalid JSON: 'utf-8' codec") as exc:
+            read_manifest(mp)
+        assert exc.value.path == mp
 
 
 class TestRunReport:

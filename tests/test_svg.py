@@ -3,7 +3,7 @@ import xml.etree.ElementTree as ET
 import numpy as np
 import pytest
 
-from groupalign.errors import ShapeMismatchError
+from groupalign.errors import GroupAlignError
 from groupalign.geometry import PointSet
 from groupalign.svgplot import MARGIN_FRACTION, PALETTE, render_svg
 
@@ -45,7 +45,7 @@ def test_no_sets_is_still_valid_svg(tmp_path):
 
 
 def test_rejects_3d(tmp_path):
-    with pytest.raises(ShapeMismatchError):
+    with pytest.raises(GroupAlignError, match="2D point sets only"):
         render_svg([PointSet([[0.0, 0.0, 0.0]])], tmp_path / "x.svg")
 
 

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from groupalign.errors import LevelError, SingularTpsError
+from groupalign.errors import GroupAlignError
 from groupalign.geometry import PointSet
 from groupalign.shapes import fish_shape
 from groupalign.synthesis import (
@@ -46,7 +46,7 @@ class TestTps:
 
     def test_duplicate_controls_rejected(self):
         control = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 0.0], [0.0, 1.0]])
-        with pytest.raises(SingularTpsError):
+        with pytest.raises(GroupAlignError, match="duplicate control points"):
             fit_tps(control, control)
 
     def test_deform_deterministic(self, fish):
@@ -76,7 +76,7 @@ class TestTps:
 
     def test_negative_level_rejected(self, fish):
         for level in (-0.1, np.nan, np.inf):
-            with pytest.raises(LevelError):
+            with pytest.raises(GroupAlignError, match="deformation level must be finite"):
                 tps_deform(fish, level, seed=0)
 
 
@@ -143,9 +143,9 @@ class TestRemovePatch:
 
     def test_level_bounds(self):
         base = PointSet(np.random.default_rng(0).normal(size=(10, 2)))
-        with pytest.raises(LevelError):
+        with pytest.raises(GroupAlignError, match=r"removal level must be in \[0, 1\)"):
             remove_patch(base, 1.0, seed=0)
-        with pytest.raises(LevelError):
+        with pytest.raises(GroupAlignError, match=r"removal level must be in \[0, 1\)"):
             remove_patch(base, -0.1, seed=0)
         np.testing.assert_array_equal(
             remove_patch(base, 0.0, seed=0).points, base.points
@@ -154,7 +154,7 @@ class TestRemovePatch:
     def test_level_that_removes_every_point(self):
         base = PointSet(np.random.default_rng(0).normal(size=(10, 2)))
         # round(0.95 * 10) = 10 would leave an empty set
-        with pytest.raises(LevelError, match=r"removal level 0\.95 .* all 10 points"):
+        with pytest.raises(GroupAlignError, match=r"removal level 0\.95 .* all 10 points"):
             remove_patch(base, 0.95, seed=0)
         assert len(remove_patch(base, 0.94, seed=0)) == 1
 
@@ -177,23 +177,23 @@ class TestGaussianDisplacement:
 
     def test_negative_level_rejected(self):
         base = PointSet(np.zeros((5, 2)))
-        with pytest.raises(LevelError):
+        with pytest.raises(GroupAlignError, match="displacement level must be finite"):
             add_gaussian_displacement(base, -0.01, seed=0)
 
 
 class TestNoiseSpec:
     def test_kind_validation(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(GroupAlignError, match="noise kind must be one of"):
             NoiseSpec("blur", 0.1)
 
     def test_level_validation(self):
-        with pytest.raises(LevelError):
+        with pytest.raises(GroupAlignError, match="removal level"):
             NoiseSpec("di", 1.0)
-        with pytest.raises(LevelError):
+        with pytest.raises(GroupAlignError, match="outlier level"):
             NoiseSpec("po", -0.5)
         for kind in ("po", "di", "gd"):
             for level in (np.nan, np.inf):
-                with pytest.raises(LevelError):
+                with pytest.raises(GroupAlignError, match=f"level must .*, got {level}"):
                     NoiseSpec(kind, level)
         NoiseSpec("di", 0.0)  # boundary is allowed
 
@@ -201,7 +201,7 @@ class TestNoiseSpec:
         """A huge outlier level names the level instead of failing inside
         NumPy on an array of about level * N rows."""
         for level in (10.0, 1e300):
-            with pytest.raises(LevelError, match="outlier level"):
+            with pytest.raises(GroupAlignError, match="outlier level"):
                 NoiseSpec("po", level)
         NoiseSpec("po", 9.5)
 
@@ -236,5 +236,5 @@ class TestMakeGroup:
             np.testing.assert_array_equal(ma.points, mb.points)
 
     def test_k_floor(self, fish):
-        with pytest.raises(ValueError):
+        with pytest.raises(GroupAlignError, match="at least 2 members, got k=1"):
             make_group(fish, 1, 0.4, seed=0)
