@@ -30,9 +30,9 @@ from .pointio import (
     write_manifest,
     write_point_set,
 )
-from .shapes import blob_shape, fish_shape
+from .shapes import BLOB_POINTS, blob_shape, fish_shape
 from .svgplot import render_svg
-from .synthesis import NoiseSpec, apply_noise, make_group
+from .synthesis import CORRUPTIONS, make_group
 
 CONFIG_KEYS = tuple(f.name for f in dataclasses.fields(OptimConfig))
 
@@ -72,6 +72,8 @@ def _refuse_overwrite(inputs, outputs) -> None:
 def _cmd_synth(args) -> int:
     if args.groups < 1:
         raise GroupAlignError(f"--groups must be at least 1, got {args.groups}")
+    if args.points is not None and (args.base is not None or args.dim in (None, 2)):
+        raise GroupAlignError("--points applies only to 3D blobs (--dim 3 without --base)")
     seeds = np.random.SeedSequence(args.seed).generate_state(2 * args.groups)
     if args.base is not None:
         base = normalize(read_point_set(args.base))
@@ -81,7 +83,8 @@ def _cmd_synth(args) -> int:
     elif args.dim in (None, 2):
         bases = [fish_shape()] * args.groups
     else:
-        bases = [blob_shape(args.points, int(s)) for s in seeds[0::2]]
+        n = BLOB_POINTS if args.points is None else args.points
+        bases = [blob_shape(n, int(s)) for s in seeds[0::2]]
     groups = [
         make_group(base, args.k, args.level, int(s), f"g{gi:03d}")
         for gi, (base, s) in enumerate(zip(bases, seeds[1::2]))
@@ -115,7 +118,6 @@ def _cmd_noise(args) -> int:
             raise GroupAlignError(
                 f"--members must be indices 0 to {widest - 1}, got {args.members!r}"
             )
-    spec = NoiseSpec(args.kind, args.level)
     seeds = np.random.SeedSequence(args.seed).generate_state(
         sum(len(g.members) for g in manifest.groups)
     )
@@ -126,7 +128,7 @@ def _cmd_noise(args) -> int:
         for mi, ps in enumerate(g.members):
             seed = next(seed_iter)
             if selected is None or mi in selected:
-                ps = apply_noise(ps, dataclasses.replace(spec, seed=seed))
+                ps = CORRUPTIONS[args.kind](ps, args.level, seed)
             sets.append(ps)
         noisy.append((g.group_id, sets))
 
@@ -190,6 +192,7 @@ def _cmd_align(args) -> int:
     outputs = [*chain.from_iterable(member_paths + svg_paths),
                report_path, trace_path, manifest_path]
     _refuse_overwrite(inputs, outputs)
+    created = [d for d in (out, *out.parents) if not d.exists()]  # deepest first
     out.mkdir(parents=True, exist_ok=True)
 
     try:
@@ -197,6 +200,10 @@ def _cmd_align(args) -> int:
     except NonFiniteError as err:
         # Keep the losses gathered before the failure; main() reports it.
         write_loss_trace([] if err.trace is None else err.trace, trace_path)
+        raise
+    except BaseException:
+        for d in created:
+            d.rmdir()  # nothing is written into them before align returns
         raise
 
     RunReport(result.groups).write_csv(report_path)
@@ -255,13 +262,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--dim", type=int, choices=(2, 3), default=None,
                    help="2 or 3 (default: the --base file's, else 2)")
     p.add_argument("--base", default=None, help="point file to use as the base shape")
-    p.add_argument("--points", type=int, default=2048, help="3D base cardinality")
+    p.add_argument("--points", type=int, default=None,
+                   help=f"points per 3D blob (default: {BLOB_POINTS})")
     p.set_defaults(func=_cmd_synth)
 
     p = sub.add_parser("noise", help="corrupt members of an existing manifest")
     p.add_argument("--manifest", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--kind", required=True, choices=("po", "di", "gd"))
+    p.add_argument("--kind", required=True, choices=tuple(CORRUPTIONS))
     p.add_argument("--level", type=float, required=True)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument(

@@ -7,6 +7,7 @@ from .errors import GroupAlignError
 from .geometry import PointSet, normalize
 
 FISH_POINTS = 91
+BLOB_POINTS = 2048
 
 
 def _arc(a: float, b: float, n: int, rx: float, ry: float) -> np.ndarray:
@@ -57,7 +58,7 @@ def fish_shape() -> PointSet:
     return normalize(PointSet(contour))
 
 
-def blob_shape(n: int = 2048, seed: int = 0) -> PointSet:
+def blob_shape(n: int = BLOB_POINTS, seed: int = 0) -> PointSet:
     """A smooth random star-shaped 3D surface sampled at n points.
 
     Directions come from a Fibonacci sphere; the radius is modulated by a

@@ -2,13 +2,14 @@
 
 Groups of "same shape, different deformation" members are produced by
 thin-plate-spline warping a normalized base shape with seeded Gaussian
-perturbations of a control grid. Three corruptions mimic common sensor
-defects: added outliers, a removed contiguous patch, and per-point jitter.
+perturbations of a control grid. Three corruptions, named in
+``CORRUPTIONS``, mimic common sensor defects: added outliers, a removed
+contiguous patch, and per-point jitter.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 from scipy.spatial.distance import cdist
@@ -21,19 +22,10 @@ TPS_RIDGE = 1e-8
 OUTLIER_STD = 0.5
 # Control-grid resolution per axis: 5x5 in 2D, 4x4x4 in 3D.
 GRID_PER_AXIS = {2: 5, 3: 4}
-NOISE_KINDS = ("po", "di", "gd")
-# Each kind's level range [0, upper), "tps" for the warp: (name, upper).
-_LEVELS = {
-    "tps": ("deformation", math.inf),
-    "po": ("outlier", 10.0),  # fewer than ten outliers per point
-    "di": ("removal", 1.0),
-    "gd": ("displacement", math.inf),
-}
 
 
-def _check_level(kind: str, level: float) -> None:
+def _check_level(name: str, level: float, upper: float = math.inf) -> None:
     """Raise GroupAlignError unless 0 <= level < upper, which nan and inf fail."""
-    name, upper = _LEVELS[kind]
     if not 0.0 <= level < upper:
         bound = "finite and >= 0" if upper == math.inf else f"in [0, {upper:g})"
         raise GroupAlignError(f"{name} level must be {bound}, got {level}")
@@ -49,25 +41,12 @@ def _tps_kernel(r: np.ndarray, dim: int) -> np.ndarray:
     return r
 
 
-@dataclass(frozen=True, eq=False)
-class TpsWarp:
-    """A fitted thin-plate-spline interpolant mapping controls onto targets."""
-
-    control_points: np.ndarray
-    perturbed_targets: np.ndarray
-    kernel_weights: np.ndarray
-    affine_part: np.ndarray  # (dim + 1, dim); first row is the offset
-
-    def transform(self, points: np.ndarray) -> np.ndarray:
-        """Warp (N, dim) points of the control points' dimensionality."""
-        basis = _tps_kernel(cdist(points, self.control_points), points.shape[1])
-        affine = np.hstack([np.ones((len(points), 1)), points])
-        return basis @ self.kernel_weights + affine @ self.affine_part
-
-
-def fit_tps(control: np.ndarray, targets: np.ndarray) -> TpsWarp:
+def fit_tps(
+    control: np.ndarray, targets: np.ndarray
+) -> Callable[[np.ndarray], np.ndarray]:
     """Solve the TPS interpolation system with an affine term for (n, dim)
-    control points and targets of the same shape.
+    control points and targets of the same shape; returns the warp, a
+    function of (N, dim) points.
 
     A small diagonal ridge keeps the kernel block well conditioned; it
     perturbs the interpolation by well under 1e-6 for our grids.
@@ -89,12 +68,15 @@ def fit_tps(control: np.ndarray, targets: np.ndarray) -> TpsWarp:
         solution = np.linalg.solve(system, rhs)
     except np.linalg.LinAlgError as exc:
         raise GroupAlignError(f"TPS system could not be solved: {exc}") from exc
-    return TpsWarp(
-        control_points=control,
-        perturbed_targets=targets,
-        kernel_weights=solution[:n],
-        affine_part=solution[n:],
-    )
+    # The affine part is (dim + 1, dim); its first row is the offset.
+    kernel_weights, affine_part = solution[:n], solution[n:]
+
+    def warp(points: np.ndarray) -> np.ndarray:
+        basis = _tps_kernel(cdist(points, control), dim)
+        affine = np.hstack([np.ones((len(points), 1)), points])
+        return basis @ kernel_weights + affine @ affine_part
+
+    return warp
 
 
 def _control_grid(points: np.ndarray) -> np.ndarray:
@@ -111,24 +93,20 @@ def _control_grid(points: np.ndarray) -> np.ndarray:
     return np.column_stack([m.ravel() for m in mesh])
 
 
-def random_tps_warp(ps: PointSet, level: float, seed: int) -> TpsWarp:
-    """Fit a warp whose control targets are Gaussian-shifted with std 2*level."""
-    _check_level("tps", level)
+def tps_deform(ps: PointSet, level: float, seed: int) -> PointSet:
+    """Smoothly deform a normalized point set with the TPS warp that moves
+    a control grid over its bounding box by Gaussian shifts of std
+    2*level; level 0 is the identity."""
+    _check_level("deformation", level)
     control = _control_grid(ps.points)
     rng = np.random.default_rng(int(seed))
     shifts = rng.normal(0.0, 2.0 * level, control.shape)
-    return fit_tps(control, control + shifts)
-
-
-def tps_deform(ps: PointSet, level: float, seed: int) -> PointSet:
-    """Smoothly deform a normalized point set; level 0 is the identity."""
-    warp = random_tps_warp(ps, level, seed)
-    return PointSet(warp.transform(ps.points))
+    return PointSet(fit_tps(control, control + shifts)(ps.points))
 
 
 def add_outlier_noise(ps: PointSet, level: float, seed: int) -> PointSet:
     """Append round(level*N) Gaussian outliers (std 0.5) after the originals."""
-    _check_level("po", level)
+    _check_level("outlier", level, 10.0)  # fewer than ten outliers per point
     count = _round_half_up(level * len(ps))
     if count == 0:
         return ps
@@ -143,7 +121,7 @@ def remove_patch(ps: PointSet, level: float, seed: int) -> PointSet:
     round(level*N) points go in total, which must leave at least one; the
     survivors keep their order.
     """
-    _check_level("di", level)
+    _check_level("removal", level, 1.0)
     count = _round_half_up(level * len(ps))
     if count == 0:
         return ps
@@ -163,33 +141,17 @@ def remove_patch(ps: PointSet, level: float, seed: int) -> PointSet:
 
 def add_gaussian_displacement(ps: PointSet, level: float, seed: int) -> PointSet:
     """Jitter every coordinate with zero-mean Gaussian noise of std level."""
-    _check_level("gd", level)
+    _check_level("displacement", level)
     rng = np.random.default_rng(int(seed))
     return PointSet(ps.points + rng.normal(0.0, level, ps.points.shape))
 
 
-@dataclass(frozen=True)
-class NoiseSpec:
-    """One corruption to apply: kind in {'po', 'di', 'gd'}, level, seed."""
-
-    kind: str
-    level: float
-    seed: int = 0
-
-    def __post_init__(self):
-        if self.kind not in NOISE_KINDS:
-            raise GroupAlignError(
-                f"noise kind must be one of {NOISE_KINDS}, got {self.kind!r}"
-            )
-        _check_level(self.kind, self.level)
-
-
-def apply_noise(ps: PointSet, spec: NoiseSpec) -> PointSet:
-    if spec.kind == "po":
-        return add_outlier_noise(ps, spec.level, spec.seed)
-    if spec.kind == "di":
-        return remove_patch(ps, spec.level, spec.seed)
-    return add_gaussian_displacement(ps, spec.level, spec.seed)
+# The corruption kinds by name, each a function of (point set, level, seed).
+CORRUPTIONS = {
+    "po": add_outlier_noise,
+    "di": remove_patch,
+    "gd": add_gaussian_displacement,
+}
 
 
 def make_group(

@@ -20,7 +20,7 @@ from groupalign.loss import _nearest, alignment_terms, drift_penalty, groupwise_
 from groupalign.optimizer import OptimConfig, _objective, align
 from groupalign.pointio import read_manifest
 from groupalign.shapes import blob_shape, fish_shape
-from groupalign.synthesis import NoiseSpec, apply_noise, make_group
+from groupalign.synthesis import CORRUPTIONS, make_group
 
 
 def _verdict(name, ok, detail):
@@ -296,7 +296,7 @@ def test_c10_alignment_survives_structured_corruption():
     ok, details = True, []
     for kind, level in (("po", 0.4), ("di", 0.2), ("gd", 0.05)):
         members = tuple(
-            apply_noise(m, NoiseSpec(kind, level, seed=20 + mi))
+            CORRUPTIONS[kind](m, level, 20 + mi)
             for mi, m in enumerate(base.members)
         )
         res = align([Group(members, group_id=kind)], OptimConfig(max_steps=500))

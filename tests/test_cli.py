@@ -103,6 +103,23 @@ class TestSynth:
         assert read_manifest(_synth(tmp_path, name="implied", base=base)).dim == 2
         assert read_manifest(_synth(tmp_path, name="stated", base=base, dim=2)).dim == 2
 
+    def test_points_need_a_3d_blob(self, tmp_path, capsys):
+        """--points sizes the 3D blobs only; given where no blob is built
+        (2D, or --base), it is refused before anything is written."""
+        base = tmp_path / "base.txt"
+        base.write_text("\n".join(f"{x} {y} {z}" for x, y, z in np.eye(3) - 0.5))
+        for flags in (["--k", "2"], ["--dim", "2"], ["--base", str(base)],
+                      ["--dim", "3", "--base", str(base)]):
+            out = tmp_path / "data"
+            rc = main(["synth", "--out", str(out), "--points", "64"] + flags)
+            assert rc == 1
+            assert capsys.readouterr().err == (
+                "error: --points applies only to 3D blobs (--dim 3 without --base)\n"
+            )
+            assert not out.exists()
+        manifest = read_manifest(_synth(tmp_path, dim=3, k=2))
+        assert len(read_point_set(manifest.groups[0].members[0])) == 2048
+
     def test_deterministic(self, tmp_path, capsys):
         m1 = _synth(tmp_path, name="d1")
         m2 = _synth(tmp_path, name="d2")
@@ -433,6 +450,17 @@ class TestErrorPaths:
             main(["frobnicate"])
         assert exc.value.code == 2
 
+    def test_unknown_noise_kind_exits_two(self, tmp_path, capsys):
+        manifest_path = _synth(tmp_path)
+        capsys.readouterr()
+        out = tmp_path / "n"
+        with pytest.raises(SystemExit) as exc:
+            main(["noise", "--manifest", str(manifest_path), "--out", str(out),
+                  "--kind", "blur", "--level", "0.1"])
+        assert exc.value.code == 2
+        assert "invalid choice: 'blur'" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_bad_noise_level(self, tmp_path, capsys):
         manifest_path = _synth(tmp_path)
         capsys.readouterr()
@@ -538,11 +566,16 @@ class TestErrorPaths:
             raise MemoryError(message)
 
         monkeypatch.setattr(cli, "align", out_of_memory)
-        rc = main(
-            ["align", "--manifest", str(manifest_path), "--out", str(tmp_path / "x")]
-        )
+        out = tmp_path / "x" / "out"
+        rc = main(["align", "--manifest", str(manifest_path), "--out", str(out)])
         assert rc == 1
         assert capsys.readouterr().err == f"error: {message or 'MemoryError'}\n"
+        assert not (tmp_path / "x").exists()
+        # An --out that was there before the run is left as it was.
+        out.mkdir(parents=True)
+        (out / "keep.txt").write_text("kept\n")
+        assert main(["align", "--manifest", str(manifest_path), "--out", str(out)]) == 1
+        assert [p.name for p in out.iterdir()] == ["keep.txt"]
 
     def test_malformed_hidden_exits_one(self, tmp_path, capsys):
         manifest_path = _synth(tmp_path)

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -5,14 +7,13 @@ from groupalign.errors import GroupAlignError
 from groupalign.geometry import PointSet
 from groupalign.shapes import fish_shape
 from groupalign.synthesis import (
+    CORRUPTIONS,
     GRID_PER_AXIS,
-    NoiseSpec,
+    _control_grid,
     add_gaussian_displacement,
     add_outlier_noise,
-    apply_noise,
     fit_tps,
     make_group,
-    random_tps_warp,
     remove_patch,
     tps_deform,
 )
@@ -34,15 +35,13 @@ class TestTps:
         rng = np.random.default_rng(2)
         control = rng.uniform(-1, 1, (12, 2))
         targets = control + rng.normal(0, 0.3, control.shape)
-        warp = fit_tps(control, targets)
-        np.testing.assert_allclose(warp.transform(control), targets, atol=1e-6)
+        np.testing.assert_allclose(fit_tps(control, targets)(control), targets, atol=1e-6)
 
     def test_interpolates_in_3d(self):
         rng = np.random.default_rng(3)
         control = rng.uniform(-1, 1, (20, 3))
         targets = control + rng.normal(0, 0.2, control.shape)
-        warp = fit_tps(control, targets)
-        np.testing.assert_allclose(warp.transform(control), targets, atol=1e-6)
+        np.testing.assert_allclose(fit_tps(control, targets)(control), targets, atol=1e-6)
 
     def test_duplicate_controls_rejected(self):
         control = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 0.0], [0.0, 1.0]])
@@ -57,19 +56,22 @@ class TestTps:
         assert not np.array_equal(a.points, c.points)
 
     def test_control_grid_size(self, fish):
-        warp2 = random_tps_warp(fish, 0.1, seed=0)
-        assert warp2.control_points.shape == (GRID_PER_AXIS[2] ** 2, 2)
-        blob = PointSet(np.random.default_rng(0).normal(size=(50, 3)))
-        warp3 = random_tps_warp(blob, 0.1, seed=0)
-        assert warp3.control_points.shape == (GRID_PER_AXIS[3] ** 3, 3)
+        assert _control_grid(fish.points).shape == (GRID_PER_AXIS[2] ** 2, 2)
+        blob = np.random.default_rng(0).normal(size=(50, 3))
+        assert _control_grid(blob).shape == (GRID_PER_AXIS[3] ** 3, 3)
 
     def test_control_shift_scale(self, fish):
-        """Control targets move by Gaussian shifts with std 2*level."""
+        """Control targets move by Gaussian shifts with std 2*level.
+
+        A control grid is its own control grid, and the warp interpolates
+        its targets to well under 1e-6, so deforming the grid itself
+        shows the shifts."""
         level = 0.2
-        shifts = []
-        for seed in range(1000):
-            warp = random_tps_warp(fish, level, seed)
-            shifts.append(warp.perturbed_targets - warp.control_points)
+        control = _control_grid(fish.points)
+        shifts = [
+            tps_deform(PointSet(control), level, seed).points - control
+            for seed in range(1000)
+        ]
         flat = np.concatenate([s.ravel() for s in shifts])
         assert abs(flat.std() - 2 * level) < 0.1 * 2 * level
         assert abs(flat.mean()) < 0.01
@@ -181,36 +183,41 @@ class TestGaussianDisplacement:
             add_gaussian_displacement(base, -0.01, seed=0)
 
 
-class TestNoiseSpec:
-    def test_kind_validation(self):
-        with pytest.raises(GroupAlignError, match="noise kind must be one of"):
-            NoiseSpec("blur", 0.1)
+# Per corruption kind: the name its errors give the level, levels it
+# refuses besides nan and inf, and the largest level it takes here. A huge
+# outlier level is refused by name instead of failing inside NumPy on an
+# array of about level * N rows.
+LEVELS = {
+    "po": ("outlier", (-0.5, 10.0, 1e300), 9.5),
+    "di": ("removal", (-0.1, 1.0), 0.9),
+    "gd": ("displacement", (-0.01,), 5.0),
+}
 
-    def test_level_validation(self):
-        with pytest.raises(GroupAlignError, match="removal level"):
-            NoiseSpec("di", 1.0)
-        with pytest.raises(GroupAlignError, match="outlier level"):
-            NoiseSpec("po", -0.5)
-        for kind in ("po", "di", "gd"):
-            for level in (np.nan, np.inf):
-                with pytest.raises(GroupAlignError, match=f"level must .*, got {level}"):
-                    NoiseSpec(kind, level)
-        NoiseSpec("di", 0.0)  # boundary is allowed
 
-    def test_outlier_level_is_capped(self):
-        """A huge outlier level names the level instead of failing inside
-        NumPy on an array of about level * N rows."""
-        for level in (10.0, 1e300):
-            with pytest.raises(GroupAlignError, match="outlier level"):
-                NoiseSpec("po", level)
-        NoiseSpec("po", 9.5)
+class TestCorruptions:
+    @pytest.mark.parametrize("kind", CORRUPTIONS)
+    def test_level_validation(self, kind):
+        name, refused, largest = LEVELS[kind]
+        base = PointSet(np.random.default_rng(0).normal(size=(10, 2)))
+        for level in (*refused, np.nan, np.inf):
+            with pytest.raises(
+                GroupAlignError, match=rf"^{name} level must .*, got {re.escape(str(level))}$"
+            ):
+                CORRUPTIONS[kind](base, level, 0)
+        for level in (0.0, largest):  # 0 is the boundary, and allowed
+            CORRUPTIONS[kind](base, level, 0)
 
     def test_dispatch(self):
+        assert CORRUPTIONS == {
+            "po": add_outlier_noise,
+            "di": remove_patch,
+            "gd": add_gaussian_displacement,
+        }
         rng = np.random.default_rng(15)
         base = PointSet(rng.normal(size=(40, 2)))
-        assert len(apply_noise(base, NoiseSpec("po", 0.5, seed=1))) == 60
-        assert len(apply_noise(base, NoiseSpec("di", 0.5, seed=1))) == 20
-        jittered = apply_noise(base, NoiseSpec("gd", 0.01, seed=1))
+        assert len(CORRUPTIONS["po"](base, 0.5, 1)) == 60
+        assert len(CORRUPTIONS["di"](base, 0.5, 1)) == 20
+        jittered = CORRUPTIONS["gd"](base, 0.01, 1)
         assert len(jittered) == 40
         assert not np.array_equal(jittered.points, base.points)
 
