@@ -194,19 +194,33 @@ LEVELS = {
 }
 
 
-class TestCorruptions:
-    @pytest.mark.parametrize("kind", CORRUPTIONS)
-    def test_level_validation(self, kind):
-        name, refused, largest = LEVELS[kind]
-        base = PointSet(np.random.default_rng(0).normal(size=(10, 2)))
-        for level in (*refused, np.nan, np.inf):
-            with pytest.raises(
-                GroupAlignError, match=rf"^{name} level must .*, got {re.escape(str(level))}$"
-            ):
-                CORRUPTIONS[kind](base, level, 0)
-        for level in (0.0, largest):  # 0 is the boundary, and allowed
-            CORRUPTIONS[kind](base, level, 0)
+class TestNoiseSpec:
+    """The (kind, level) pair that names a corruption: each kind's level check."""
 
+    def test_level_validation(self):
+        assert set(LEVELS) == set(CORRUPTIONS)
+        base = PointSet(np.random.default_rng(0).normal(size=(10, 2)))
+        for kind, (name, refused, largest) in LEVELS.items():
+            for level in (*refused, np.nan, np.inf):
+                with pytest.raises(
+                    GroupAlignError,
+                    match=rf"^{name} level must .*, got {re.escape(str(level))}$",
+                ):
+                    CORRUPTIONS[kind](base, level, 0)
+            for level in (0.0, largest):  # 0 is the boundary, and allowed
+                CORRUPTIONS[kind](base, level, 0)
+
+    def test_outlier_level_is_capped(self):
+        """A huge outlier level names the level instead of failing inside
+        NumPy on an array of about level * N rows."""
+        base = PointSet(np.random.default_rng(0).normal(size=(10, 2)))
+        for level in (10.0, 1e300):
+            with pytest.raises(GroupAlignError, match="outlier level"):
+                add_outlier_noise(base, level, seed=0)
+        assert len(add_outlier_noise(base, 9.5, seed=0)) == 10 + 95
+
+
+class TestCorruptions:
     def test_dispatch(self):
         assert CORRUPTIONS == {
             "po": add_outlier_noise,
