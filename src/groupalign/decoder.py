@@ -5,8 +5,10 @@ affine, so the latent acts as one bias per group, W0[:, dim:] @ z + b0, and
 the concatenated rows are never built. Hidden layers use ReLU; the final
 layer is affine so drifts can take either sign. Gradients reach the
 weights, biases and latents, but not the input coordinates.
-Both passes run in blocks of at most BLOCK_ROWS rows of one segment; the
-backward pass consumes the forward pass's last block and recomputes the rest.
+Both passes run in blocks of at most BLOCK_ROWS rows of one segment, through
+one workspace of block-sized buffers that the caller can reuse for every
+pass: the backward pass finds the forward pass's last block still there and
+recomputes the others.
 """
 from __future__ import annotations
 
@@ -48,18 +50,20 @@ def _blocks(starts: Sequence[int], n_rows: int):
             yield s, lo, min(lo + BLOCK_ROWS, stop)
 
 
-def _run_block(layers, coords, segment_bias):
-    """One block's pass: (outputs, hidden activations after their ReLUs).
-    Biases and ReLUs apply in place; each layer allocates its matmul only."""
-    h = coords @ layers[0][0][:, : coords.shape[1]].T
+def _run_block(layers, coords, segment_bias, acts, out=None):
+    """One block's pass through the buffers ``acts``, one per hidden layer,
+    with biases and ReLUs applied in place. The output layer writes ``out``;
+    without it the pass stops after the last hidden layer's ReLU."""
+    h = acts[0] if acts else out
+    np.matmul(coords, layers[0][0][:, : coords.shape[1]].T, out=h)
     h += segment_bias
-    acts = []
-    for weight, bias in layers[1:]:
+    for (weight, bias), nxt in zip(layers[1:], [*acts[1:], out]):
         np.maximum(h, 0.0, out=h)
-        acts.append(h)
-        h = h @ weight.T
-        h += bias
-    return h, acts
+        if nxt is None:
+            return
+        np.matmul(h, weight.T, out=nxt)
+        nxt += bias
+        h = nxt
 
 
 # Overflow in a diverging run is reported by the callers' finite checks.
@@ -69,20 +73,28 @@ def run_layers(
     coords: np.ndarray,
     latents: np.ndarray,
     starts: Sequence[int],
+    workspace: list[np.ndarray] | None = None,
 ) -> tuple[np.ndarray, list[np.ndarray]]:
-    """Array-level forward pass in row blocks; returns (outputs, kept).
+    """Array-level forward pass in row blocks; returns (outputs, workspace).
 
     Segment g, rows starts[g] up to the next start, decodes with latents[g];
-    starts begin at 0 and strictly increase. ``kept`` holds the last block's
-    hidden activations for ``run_layers_backward``."""
+    starts begin at 0 and strictly increase. ``workspace`` holds one buffer
+    per hidden layer; an empty list is filled here, and None stands for a
+    new one. Pass the same list again on the same layer widths and row
+    count to reuse its buffers. On return it holds the last block's hidden
+    activations, which ``run_layers_backward`` reads."""
     weight, bias = layers[0]
     segment_bias = latents @ weight[:, coords.shape[1] :].T + bias
     out = np.empty((coords.shape[0], layers[-1][0].shape[0]))
-    kept = []
+    if workspace is None:
+        workspace = []
+    if not workspace:
+        rows = min(coords.shape[0], BLOCK_ROWS)
+        workspace.extend(np.empty((rows, w.shape[0])) for w, _ in layers[:-1])
     for s, lo, hi in _blocks(starts, coords.shape[0]):
-        kept.clear()  # the previous block is dead before the next is computed
-        out[lo:hi], kept = _run_block(layers, coords[lo:hi], segment_bias[s])
-    return out, kept
+        acts = [buf[: hi - lo] for buf in workspace]
+        _run_block(layers, coords[lo:hi], segment_bias[s], acts, out[lo:hi])
+    return out, workspace
 
 
 @np.errstate(over="ignore", invalid="ignore")
@@ -92,14 +104,17 @@ def run_layers_backward(
     upstream: np.ndarray,
     latents: np.ndarray,
     starts: Sequence[int],
-    kept: list[np.ndarray],
+    workspace: list[np.ndarray],
 ) -> tuple[list[Layer], np.ndarray]:
     """Array-level backward pass for sum(upstream * outputs).
 
-    Walks the blocks from last to first: the last block takes over ``kept``
-    from ``run_layers``, emptying the list, and every other block
-    recomputes its activations. Returns per-layer (dW, db) and one latent
-    gradient row per segment.
+    ``workspace`` is the one the ``run_layers`` call on the same arguments
+    just used. Walks the blocks from last to first: the last block's
+    activations are still in the workspace, and every other block
+    recomputes them there. Each layer's input gradient then overwrites
+    that layer's activations, so the workspace holds no activations
+    afterwards. Returns per-layer (dW, db) and one latent gradient row per
+    segment.
     """
     weight0, bias0 = layers[0]
     dim = coords.shape[1]
@@ -109,20 +124,23 @@ def run_layers_backward(
     # Layer 0 sees each segment's latent as a constant input, so its rows'
     # gradients enter the latent terms only through their per-segment sums.
     seg_grad = np.zeros((len(starts), weight0.shape[0]))
-    acts = list(kept)
-    kept.clear()  # the last block now lives in acts only
-    for s, lo, hi in reversed(list(_blocks(starts, coords.shape[0]))):
+    blocks = list(_blocks(starts, coords.shape[0]))
+    for n, (s, lo, hi) in enumerate(reversed(blocks)):
+        acts = [buf[: hi - lo] for buf in workspace]
+        if n and acts:
+            _run_block(layers, coords[lo:hi], segment_bias[s], acts)
         grad = upstream[lo:hi]
-        if not acts:
-            acts = _run_block(layers, coords[lo:hi], segment_bias[s])[1]
         for i in range(len(layers) - 1, 0, -1):
+            act = acts[i - 1]
             d_weight, d_bias = d_layers[i - 1]
-            d_weight += grad.T @ acts[-1]
+            d_weight += grad.T @ act
             d_bias += grad.sum(axis=0)
-            # acts[-1] is a ReLU output, so its positive entries are the mask;
-            # grad is a fresh product here, never the upstream view.
-            grad = grad @ layers[i][0]
-            grad *= acts.pop() > 0.0
+            # act is a ReLU output, so its positive entries are the mask; it
+            # is dead once the mask is taken, and grad never aliases it.
+            mask = act > 0.0
+            np.matmul(grad, layers[i][0], out=act)
+            act *= mask
+            grad = act
         d_coords += grad.T @ coords[lo:hi]
         seg_grad[s] += grad.sum(axis=0)
     d_weight0 = np.hstack([d_coords, seg_grad.T @ latents])
@@ -134,6 +152,7 @@ def forward(
     coords: np.ndarray,
     latents: np.ndarray,
     starts: Sequence[int],
+    workspace: list[np.ndarray] | None = None,
 ) -> np.ndarray:
     """The drifts of ``run_layers``, one row per coordinate row."""
-    return run_layers(layers, coords, latents, starts)[0]
+    return run_layers(layers, coords, latents, starts, workspace)[0]

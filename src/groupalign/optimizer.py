@@ -41,12 +41,25 @@ def adam_step(
     """One bias-corrected Adam update, in place, of ``variable`` and its
     first and second moments ``m`` and ``v``; ``t`` is the step number,
     counted from 1. Nothing is checked here: the shapes match by
-    construction, and ``_objective`` has checked that the gradient is finite."""
-    m[...] = BETA1 * m + (1.0 - BETA1) * gradient
-    v[...] = BETA2 * v + (1.0 - BETA2) * gradient * gradient
-    m_hat = m / (1.0 - BETA1**t)
-    v_hat = v / (1.0 - BETA2**t)
-    variable -= lr * m_hat / (np.sqrt(v_hat) + EPSILON)
+    construction, and ``_objective`` has checked that the gradient is finite.
+
+    The textbook expressions, in their order, evaluated in two temporaries:
+    m = b1 m + (1 - b1) g; v = b2 v + (1 - b2) g g;
+    variable -= lr m_hat / (sqrt(v_hat) + eps)."""
+    tmp = np.multiply(gradient, 1.0 - BETA1)
+    m *= BETA1
+    m += tmp
+    np.multiply(gradient, 1.0 - BETA2, out=tmp)
+    tmp *= gradient
+    v *= BETA2
+    v += tmp
+    denom = np.divide(v, 1.0 - BETA2**t, out=tmp)
+    np.sqrt(denom, out=denom)
+    denom += EPSILON
+    step = np.divide(m, 1.0 - BETA1**t)
+    step *= lr
+    step /= denom
+    variable -= step
 
 
 # Annotation (a string, under postponed evaluation) -> accepted type, wording.
@@ -190,28 +203,32 @@ def _objective(
     groups_members: Sequence[Sequence[slice]],
     reg_lambda: float,
     map_groups: Callable = map,
+    workspace: list[np.ndarray] | None = None,
 ) -> tuple[float, float, list[dec.Layer], np.ndarray]:
     """The regularized loss over one row layout and its gradients.
 
     Rows from starts[s] up to the next start decode with latents[s]. Each
     entry of groups_members holds one loss group's contiguous member slices.
+    ``workspace`` is the decoder's, as ``dec.run_layers`` takes it.
     Returns the alignment and penalty totals, each layer's (dW, db) and one
     gradient row per latent; raises NonFiniteError on non-finite drifts,
     loss or gradients.
     """
-    drifts, kept = dec.run_layers(layers, x_all, latents, starts)
+    drifts, workspace = dec.run_layers(layers, x_all, latents, starts, workspace)
     if not np.isfinite(drifts).all():
         raise NonFiniteError("drifts became non-finite")
-    grad_rows = np.empty_like(drifts)
 
     def group_loss(members):
-        """One loss group's values; writes only that group's rows of
-        grad_rows, so the pool's tasks never share a row."""
+        """One loss group's values. Its loss gradient overwrites its drift
+        rows once they are read, and only those, so the pool's tasks never
+        share a row."""
         rows = slice(members[0].start, members[-1].stop)
         drifted = [x_all[s] + drifts[s] for s in members]
         align_val, align_grads = losses.alignment_terms(drifted)
         reg_val, reg_grad = losses.drift_penalty(drifts[rows])
-        grad_rows[rows] = np.concatenate(align_grads) + reg_lambda * reg_grad
+        np.concatenate(align_grads, out=drifts[rows])
+        reg_grad *= reg_lambda
+        drifts[rows] += reg_grad
         return align_val, reg_val
 
     align_total = 0.0
@@ -221,9 +238,8 @@ def _objective(
         reg_total += r_val
     if not math.isfinite(align_total + reg_lambda * reg_total):
         raise NonFiniteError("loss became non-finite")
-    del drifts  # the backward pass reads grad_rows and kept only
     d_layers, d_latents = dec.run_layers_backward(
-        layers, x_all, grad_rows, latents, starts, kept
+        layers, x_all, drifts, latents, starts, workspace
     )
     if not all(np.isfinite(g).all() for g in chain(*d_layers, [d_latents])):
         raise NonFiniteError("gradient became non-finite")
@@ -264,14 +280,16 @@ def _align_scope(
     pool = ThreadPoolExecutor(workers) if workers > 1 else None
     map_groups = map if pool is None else pool.map
 
+    workspace: list[np.ndarray] = []  # the decoder's, filled by its first pass
     trace_rows: list[tuple[float, float, float]] = []
+    window = cfg.convergence_window + 1  # the losses converged() reads
     early = False
     try:
         for step in range(cfg.max_steps):
             try:
                 align_total, reg_total, d_layers, d_latents = _objective(
                     layers, latents, x_all, starts, member_slices,
-                    cfg.reg_lambda, map_groups,
+                    cfg.reg_lambda, map_groups, workspace,
                 )
             except NonFiniteError as err:
                 raise NonFiniteError(
@@ -284,13 +302,13 @@ def _align_scope(
             for var, grad, (m, v) in zip(variables, gradients, moments, strict=True):
                 adam_step(var, grad, m, v, lr, step + 1)
 
-            if converged([r[2] for r in trace_rows], cfg):
+            if converged([r[2] for r in trace_rows[-window:]], cfg):
                 early = True
                 break
 
         # Finalize on the same row layout: one batched decode, then each
         # group's losses on plain arrays, on the loss pool.
-        drifts = dec.forward(layers, x_all, latents, starts)
+        drifts = dec.forward(layers, x_all, latents, starts, workspace)
         if not np.isfinite(drifts).all():
             raise NonFiniteError("final drifts are non-finite", trace=np.array(trace_rows))
         for array in (drifts, latents, *chain.from_iterable(layers)):

@@ -621,9 +621,9 @@ class TestErrorPaths:
         real = decoder.run_layers
 
         def poisoned(*args):
-            drifts, kept = real(*args)
+            drifts, workspace = real(*args)
             drifts[0, 0] = np.nan
-            return drifts, kept
+            return drifts, workspace
 
         monkeypatch.setattr(decoder, "run_layers", poisoned)
         manifest_path = _synth(tmp_path)

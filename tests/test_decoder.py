@@ -75,17 +75,17 @@ class TestHandComputedCore:
         return run_layers(self.layers, self.coords, np.array([[latent]]), [0])
 
     def _backward(self, latent):
-        _, kept = self._run(latent)
+        _, workspace = self._run(latent)
         latents = np.array([[latent]])
         return run_layers_backward(
-            self.layers, self.coords, np.array([[1.0]]), latents, [0], kept
+            self.layers, self.coords, np.array([[1.0]]), latents, [0], workspace
         )
 
     def test_forward_active(self):
-        out, kept = self._run(-0.1)  # relu(0.2) = 0.2, 2 * 0.2 + 0.5
+        out, workspace = self._run(-0.1)  # relu(0.2) = 0.2, 2 * 0.2 + 0.5
         np.testing.assert_allclose(out, [[0.9]], atol=1e-15)
-        assert len(kept) == 1
-        np.testing.assert_allclose(kept[0], [[0.2]], atol=1e-15)
+        assert len(workspace) == 1
+        np.testing.assert_allclose(workspace[0], [[0.2]], atol=1e-15)
 
     def test_forward_dead_unit(self):
         out, _ = self._run(-0.5)  # relu(-0.2) = 0, output is the bias path
@@ -123,11 +123,11 @@ def test_backward_linear_in_upstream():
     pts = np.random.default_rng(11).normal(size=(5, 2))
     up = np.random.default_rng(12).normal(size=(5, 2))
     latents = z_vals[None, :]
-    _, kept = run_layers(layers, pts, latents, [0])
-    layers1, latent1 = run_layers_backward(layers, pts, up, latents, [0], kept)
-    _, kept = run_layers(layers, pts, latents, [0])  # the first call consumed it
+    _, workspace = run_layers(layers, pts, latents, [0])
+    layers1, latent1 = run_layers_backward(layers, pts, up, latents, [0], workspace)
+    run_layers(layers, pts, latents, [0], workspace)  # backward overwrote it
     layers2, latent2 = run_layers_backward(
-        layers, pts, 2.0 * up, latents, [0], kept
+        layers, pts, 2.0 * up, latents, [0], workspace
     )
     np.testing.assert_allclose(latent2, 2.0 * latent1, rtol=1e-12)
     for (w1, b1), (w2, b2) in zip(layers1, layers2):
@@ -135,16 +135,33 @@ def test_backward_linear_in_upstream():
         np.testing.assert_allclose(b2, 2.0 * b1, rtol=1e-12)
 
 
-def test_backward_consumes_kept():
-    """The backward pass takes the forward pass's last block over and
-    empties the caller's list, so the caller holds no activations."""
+def test_one_workspace_serves_pass_after_pass():
+    """Two forward and backward passes through one workspace, with other
+    latents and upstream the second time, equal two passes through fresh
+    workspaces bit for bit. Segments of 2500 rows end in 452-row blocks,
+    so the workspace's 2048-row buffers are also used in part. The
+    workspace is filled once and keeps its buffers."""
+    rng = np.random.default_rng(18)
     layers = init_params(3, 4, (6, 5), seed=17)
-    coords = np.random.default_rng(18).normal(size=(5000, 3))
-    latents = np.random.default_rng(19).normal(0, 0.1, (2, 4))
-    _, kept = run_layers(layers, coords, latents, [0, 2500])
-    assert len(kept) == 2
-    run_layers_backward(layers, coords, np.ones_like(coords), latents, [0, 2500], kept)
-    assert kept == []
+    coords = rng.normal(size=(5000, 3))
+    starts = [0, 2500]
+    inputs = [
+        (rng.normal(0, 0.5, (2, 4)), rng.normal(size=coords.shape)) for _ in range(2)
+    ]
+    workspace = []
+    for latents, upstream in inputs:
+        out, returned = run_layers(layers, coords, latents, starts, workspace)
+        assert returned is workspace
+        buffers = [id(buf) for buf in workspace]
+        assert [buf.shape for buf in workspace] == [(2048, 6), (2048, 5)]
+        d_layers, d_latents = run_layers_backward(
+            layers, coords, upstream, latents, starts, workspace
+        )
+        assert [id(buf) for buf in workspace] == buffers
+        ref_out, ref_grads = _pass(layers, coords, latents, starts, upstream)
+        np.testing.assert_array_equal(out, ref_out)
+        for got, want in zip([a for pair in d_layers for a in pair] + [d_latents], ref_grads):
+            np.testing.assert_array_equal(got, want)
 
 
 def test_forward_rows_are_independent():
@@ -188,9 +205,9 @@ def test_gradients_match_finite_differences():
         if _min_hidden_preactivation(layers, inputs) < 1e-3:
             continue
 
-        _, kept = run_layers(layers, pts, z_vals[None, :], [0])
+        _, workspace = run_layers(layers, pts, z_vals[None, :], [0])
         d_layers, d_latents = run_layers_backward(
-            layers, pts, upstream, z_vals[None, :], [0], kept
+            layers, pts, upstream, z_vals[None, :], [0], workspace
         )
 
         def objective(layers, latent):
@@ -257,9 +274,9 @@ def test_segments_of_unequal_length_match_concatenated_rows():
     upstream = rng.normal(size=(9, 3))
     starts = [0, 3, 4]
 
-    out, kept = run_layers(layers, coords, latents, starts)
+    out, workspace = run_layers(layers, coords, latents, starts)
     d_layers, d_latents = run_layers_backward(
-        layers, coords, upstream, latents, starts, kept
+        layers, coords, upstream, latents, starts, workspace
     )
     ref_out, ref_layers, ref_latents = _concatenated_reference(
         layers, coords, latents, counts, upstream
@@ -273,11 +290,11 @@ def test_segments_of_unequal_length_match_concatenated_rows():
 
 
 def _pass(layers, coords, latents, starts, upstream):
-    """One forward and backward pass: the drifts, then every dW and db and
-    the latent gradients in one list."""
-    out, kept = run_layers(layers, coords, latents, starts)
+    """One forward and backward pass through a fresh workspace: the drifts,
+    then every dW and db and the latent gradients in one list."""
+    out, workspace = run_layers(layers, coords, latents, starts)
     d_layers, d_latents = run_layers_backward(
-        layers, coords, upstream, latents, starts, kept
+        layers, coords, upstream, latents, starts, workspace
     )
     return out, [a for pair in d_layers for a in pair] + [d_latents]
 

@@ -11,6 +11,9 @@ from groupalign.errors import GroupAlignError, NonFiniteError
 from groupalign.geometry import Group, PointSet
 from groupalign.loss import normalized_cd
 from groupalign.optimizer import (
+    BETA1,
+    BETA2,
+    EPSILON,
     OptimConfig,
     adam_step,
     align,
@@ -53,6 +56,41 @@ class TestAdam:
         _adam(latents[1], [np.ones(2)], lr=0.01)
         np.testing.assert_array_equal(latents[0], [0.0, 0.0])
         np.testing.assert_allclose(latents[1], [-0.01, -0.01], rtol=1e-6)
+
+    def test_matches_the_textbook_expressions_bit_for_bit(self):
+        """20 steps, t counted from 1, under the decaying schedule: the
+        in-place update equals the textbook expressions evaluated in
+        their order, in the variable and in both moments."""
+        rng = np.random.default_rng(4)
+        x = rng.normal(size=(16, 33))
+        m, v = np.zeros_like(x), np.zeros_like(x)
+        ref_x, ref_m, ref_v = x.copy(), m.copy(), v.copy()
+        cfg = OptimConfig(lr_decay_steps=10)
+        for t in range(1, 21):
+            g = rng.normal(scale=10.0 ** rng.integers(-6, 3), size=x.shape)
+            lr = lr_at(t - 1, cfg)
+            adam_step(x, g, m, v, lr, t)
+            ref_m = BETA1 * ref_m + (1.0 - BETA1) * g
+            ref_v = BETA2 * ref_v + (1.0 - BETA2) * g * g
+            m_hat = ref_m / (1.0 - BETA1**t)
+            v_hat = ref_v / (1.0 - BETA2**t)
+            ref_x = ref_x - lr * m_hat / (np.sqrt(v_hat) + EPSILON)
+        np.testing.assert_array_equal(x, ref_x)
+        np.testing.assert_array_equal(m, ref_m)
+        np.testing.assert_array_equal(v, ref_v)
+
+    def test_holds_at_most_two_temporaries(self):
+        rng = np.random.default_rng(5)
+        x, g = rng.normal(size=(2, 100_000))
+        m, v = np.zeros_like(x), np.zeros_like(x)
+        adam_step(x, g, m, v, 1e-3, 1)
+        tracemalloc.start()
+        try:
+            adam_step(x, g, m, v, 1e-3, 2)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2 * x.nbytes + 4096
 
 
 class TestSchedule:
@@ -255,9 +293,10 @@ def test_worker_count_does_not_change_results(small_groups):
 
 def test_objective_holds_about_one_block_of_activations():
     """Two 3D groups of three 2048-row members, six decoder blocks: one
-    objective call peaks below 2.5 blocks' activations (coordinates and
-    hidden layers). No full drifted copy of the rows outlives the loss, and
-    the forward pass's last block is gone before the backward pass ends."""
+    objective call, which allocates its own decoder workspace, peaks below
+    1.5 blocks' activations (coordinates and hidden layers). Every pass
+    runs in the one block-sized workspace, no full drifted copy of the rows
+    outlives the loss, and the loss gradient takes the drifts' place."""
     rng = np.random.default_rng(31)
     hidden = (128, 64)
     x_all = rng.normal(size=(6 * 2048, 3))
@@ -270,7 +309,7 @@ def test_objective_holds_about_one_block_of_activations():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 2.5 * 8 * decoder.BLOCK_ROWS * (3 + sum(hidden))
+    assert peak < 1.5 * 8 * decoder.BLOCK_ROWS * (3 + sum(hidden))
 
 
 def test_loss_workers_write_their_own_rows_under_contention(small_fish):
@@ -384,11 +423,11 @@ def test_non_finite_drifts_stop_the_run_with_its_trace(small_groups, monkeypatch
     real = decoder.run_layers
 
     def poisoned(*args):
-        drifts, kept = real(*args)
+        drifts, workspace = real(*args)
         calls.append(None)
         if len(calls) == 3:
             drifts[0, 0] = np.nan
-        return drifts, kept
+        return drifts, workspace
 
     monkeypatch.setattr(decoder, "run_layers", poisoned)
     a, _ = small_groups
@@ -431,12 +470,12 @@ def test_per_group_failure_keeps_the_finished_groups_traces(small_groups, monkey
     real = decoder.run_layers
 
     def poisoned(*args):
-        drifts, kept = real(*args)
+        drifts, workspace = real(*args)
         calls.append(None)
         # The first scope decodes once per step and once to finalize.
         if len(calls) == cfg.max_steps + 1 + 3:
             drifts[0, 0] = np.nan
-        return drifts, kept
+        return drifts, workspace
 
     monkeypatch.setattr(decoder, "run_layers", poisoned)
     with pytest.raises(NonFiniteError, match="step 2") as info:
@@ -453,16 +492,33 @@ def test_non_finite_final_drifts_raise_with_the_whole_trace(small_groups, monkey
     real = decoder.run_layers
 
     def poisoned(*args):
-        drifts, kept = real(*args)
+        drifts, workspace = real(*args)
         calls.append(None)
         if len(calls) == cfg.max_steps + 1:
             drifts[-1, -1] = np.inf
-        return drifts, kept
+        return drifts, workspace
 
     monkeypatch.setattr(decoder, "run_layers", poisoned)
     with pytest.raises(NonFiniteError, match="final drifts") as info:
         align([small_groups[0]], cfg)
     assert info.value.trace.shape == (cfg.max_steps, 3)
+
+
+def test_convergence_check_reads_only_its_window(small_groups, monkeypatch):
+    """One converged() call per step, given at most the convergence_window
+    + 1 losses it reads, so its cost does not grow with the step count."""
+    lengths = []
+    real = optimizer.converged
+
+    def recording(trace, cfg):
+        lengths.append(len(trace))
+        return real(trace, cfg)
+
+    monkeypatch.setattr(optimizer, "converged", recording)
+    cfg = OptimConfig(**{**SMALL, "max_steps": 12}, convergence_window=3)
+    res = align([small_groups[0]], cfg)
+    assert res.steps_run == 12
+    assert lengths == [min(step, 4) for step in range(1, 13)]
 
 
 def test_runs_to_max_steps_without_convergence(small_groups):
