@@ -292,9 +292,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--lr-end", type=float, default=None)
     p.add_argument("--lr-decay-steps", type=int, default=None)
     p.add_argument("--workers", type=int, default=None)
-    p.add_argument(
-        "--per-group-decoder", dest="share_decoder", action="store_false", default=None
-    )
     p.add_argument("--svg", action="store_true", help="write before/after overlays")
     p.set_defaults(func=_cmd_align)
 

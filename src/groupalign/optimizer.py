@@ -1,12 +1,11 @@
 """Joint gradient-based alignment of point-set groups.
 
-Every group owns one latent vector; the drift decoder is shared across
-groups by default (or optimized per group on request). All variables are
-updated together with bias-corrected Adam under a linearly decaying
-learning rate, minimizing the drift-regularized groupwise Chamfer loss
-summed over groups. One optimization step decodes drifts for every member
-point, measures the loss on the drifted sets, backpropagates through the
-decoder, and applies the Adam updates.
+Every group owns one latent vector, and one drift decoder serves every
+group. All variables are updated together with bias-corrected Adam under
+a linearly decaying learning rate, minimizing the drift-regularized
+groupwise Chamfer loss summed over groups. One optimization step decodes
+drifts for every member point, measures the loss on the drifted sets,
+backpropagates through the decoder, and applies the Adam updates.
 """
 from __future__ import annotations
 
@@ -66,13 +65,12 @@ def adam_step(
 _FIELD_KINDS = {
     "int": (numbers.Integral, "an integer"),
     "float": (numbers.Real, "a real number"),
-    "bool": (bool, "true or false"),
 }
 
 
 def _check_kind(name: str, value, kind: type, wording: str) -> None:
-    # bool is an Integral, but a flag where a count belongs is a mistake.
-    if not isinstance(value, kind) or (isinstance(value, bool) and kind is not bool):
+    # bool is an Integral, but a flag where a number belongs is a mistake.
+    if not isinstance(value, kind) or isinstance(value, bool):
         raise GroupAlignError(f"{name} must be {wording}, got {value!r}")
     # JSON and argparse's float() both accept NaN and infinity, and a JSON
     # integer can be too large for a float; the comparison is exact for both.
@@ -94,7 +92,6 @@ class OptimConfig:
     seed: int = 0
     convergence_rel_tol: float = 1e-6
     convergence_window: int = 20
-    share_decoder: bool = True
     workers: int = 1
 
     def __post_init__(self):
@@ -166,33 +163,20 @@ class GroupAlignment:
     final_normalized_cd: float
     final_loss: losses.LossBreakdown
     steps_run: int
-    decoder_params: dec.DecoderParams | None = None  # set in per-group mode
-    wall_seconds: float = 0.0  # wall time of the whole scope the group ran in
+    wall_seconds: float = 0.0  # wall time of the whole joint run
 
 
 @dataclass(frozen=True, eq=False)
 class AlignmentResult:
-    """Outcome of one align() call.
-
-    ``loss_trace`` has one (alignment, regularizer, total) row per step: the
-    sum of the decoder scopes' traces (one scope with a shared decoder, one
-    per group otherwise), each padded with its final row up to the longest.
-    ``converged_early`` holds only when every scope stopped early.
-    """
+    """Outcome of one align() call: the groups' outcomes, the shared
+    decoder, one (alignment, regularizer, total) loss row per step, and
+    whether the convergence test stopped the run before ``max_steps``."""
 
     groups: tuple[GroupAlignment, ...]
-    decoder_params: dec.DecoderParams | None  # shared decoder, None in per-group mode
+    decoder_params: dec.DecoderParams
     loss_trace: np.ndarray
     steps_run: int
     converged_early: bool
-
-
-def _scope_seeds(cfg: OptimConfig, n_groups: int) -> tuple[int, list[int]]:
-    """Derive stable seeds from the single config seed: the decoder seed,
-    then one latent seed per group. ``generate_state`` is prefix-stable, so
-    the first groups' seeds do not depend on how many groups follow."""
-    state = np.random.SeedSequence(int(cfg.seed)).generate_state(1 + n_groups)
-    return int(state[0]), [int(s) for s in state[1:]]
 
 
 def _objective(
@@ -246,16 +230,33 @@ def _objective(
     return align_total, reg_total, d_layers, d_latents
 
 
-def _align_scope(
-    groups: Sequence[Group],
-    cfg: OptimConfig,
-    theta_seed: int,
-    z_seeds: Sequence[int],
-) -> tuple[list[GroupAlignment], dec.DecoderParams, np.ndarray, bool]:
-    """Optimize one decoder scope: a shared decoder plus its groups."""
+def align(groups: Sequence[Group], cfg: OptimConfig | None = None) -> AlignmentResult:
+    """Jointly align one or more groups of point sets with one decoder.
+
+    All groups must share a dimensionality. A ``NonFiniteError`` carries
+    the (steps, 3) losses gathered before the failure as its ``trace``.
+    """
+    if cfg is None:
+        cfg = OptimConfig()
+    groups = list(groups)
+    if not groups:
+        raise GroupAlignError("align needs at least one group")
+    dims = {g.dim for g in groups}
+    if len(dims) != 1:
+        raise GroupAlignError(f"groups mix dimensionalities: {dims}")
+    for g in groups:
+        if any(len(m) == 0 for m in g.members):
+            raise GroupAlignError(f"group {g.group_id!r} has an empty member")
+
     start_time = time.perf_counter()
     dim = groups[0].dim
     latent = cfg.latent_dim
+    # Stable seeds from the one config seed: the decoder's, then one latent
+    # seed per group. generate_state is prefix-stable, so the first groups'
+    # seeds do not depend on how many groups follow.
+    theta_seed, *z_seeds = np.random.SeedSequence(int(cfg.seed)).generate_state(
+        1 + len(groups)
+    )
 
     # Row layout: members of each group stacked contiguously; group g's
     # rows start at starts[g] and are decoded with latents[g].
@@ -271,8 +272,8 @@ def _align_scope(
 
     # The only copy of the variables, updated in place by Adam: the
     # decoder's (W, b) pairs and one latent row per group.
-    layers = dec.init_params(dim, latent, cfg.hidden, theta_seed)
-    latents = np.stack([init_gld(latent, s) for s in z_seeds])
+    layers = dec.init_params(dim, latent, cfg.hidden, int(theta_seed))
+    latents = np.stack([init_gld(latent, int(s)) for s in z_seeds])
     variables = [*chain.from_iterable(layers), *latents]
     moments = [(np.zeros_like(x), np.zeros_like(x)) for x in variables]
 
@@ -292,9 +293,8 @@ def _align_scope(
                     cfg.reg_lambda, map_groups, workspace,
                 )
             except NonFiniteError as err:
-                raise NonFiniteError(
-                    f"{err} at step {step}", trace=np.array(trace_rows)
-                ) from None
+                trace = np.array(trace_rows).reshape(-1, 3)  # (0, 3) at step 0
+                raise NonFiniteError(f"{err} at step {step}", trace=trace) from None
             total = align_total + cfg.reg_lambda * reg_total
             trace_rows.append((align_total, reg_total, total))
             lr = lr_at(step, cfg)
@@ -308,12 +308,12 @@ def _align_scope(
 
         # Finalize on the same row layout: one batched decode, then each
         # group's losses on plain arrays, on the loss pool.
+        loss_trace = np.array(trace_rows)
         drifts = dec.forward(layers, x_all, latents, starts, workspace)
         if not np.isfinite(drifts).all():
-            raise NonFiniteError("final drifts are non-finite", trace=np.array(trace_rows))
+            raise NonFiniteError("final drifts are non-finite", trace=loss_trace)
         for array in (drifts, latents, *chain.from_iterable(layers)):
             array.setflags(write=False)
-        final_params = dec.DecoderParams(tuple(layers))
 
         def finalize(i):
             g, slices = groups[i], member_slices[i]
@@ -330,7 +330,6 @@ def _align_scope(
                 final_normalized_cd=breakdown.normalized_cd,
                 final_loss=breakdown,
                 steps_run=len(trace_rows),
-                decoder_params=None if cfg.share_decoder else final_params,
             )
 
         results = list(map_groups(finalize, range(len(groups))))
@@ -339,65 +338,10 @@ def _align_scope(
             pool.shutdown()
 
     wall = time.perf_counter() - start_time
-    results = [replace(r, wall_seconds=wall) for r in results]
-    return results, final_params, np.array(trace_rows), early
-
-
-def align(groups: Sequence[Group], cfg: OptimConfig | None = None) -> AlignmentResult:
-    """Jointly align one or more groups of point sets.
-
-    All groups must share a dimensionality. With ``cfg.share_decoder``
-    (the default) a single decoder serves every group and couples them;
-    otherwise each group gets its own independently optimized decoder. A
-    ``NonFiniteError`` carries the losses gathered so far as its ``trace``,
-    summed over the scopes by the rule of ``AlignmentResult.loss_trace``.
-    """
-    if cfg is None:
-        cfg = OptimConfig()
-    groups = list(groups)
-    if not groups:
-        raise GroupAlignError("align needs at least one group")
-    dims = {g.dim for g in groups}
-    if len(dims) != 1:
-        raise GroupAlignError(f"groups mix dimensionalities: {dims}")
-    for g in groups:
-        if any(len(m) == 0 for m in g.members):
-            raise GroupAlignError(f"group {g.group_id!r} has an empty member")
-
-    theta_seed, z_seeds = _scope_seeds(cfg, len(groups))
-    # One scope holds every group, or each group is a scope with the seeds
-    # of a one-group call, so it aligns exactly as it would alone.
-    if cfg.share_decoder:
-        scopes = [(groups, z_seeds)]
-    else:
-        scopes = [([g], z_seeds[:1]) for g in groups]
-    done = []
-    for scope, seeds in scopes:
-        try:
-            done.append(_align_scope(scope, cfg, theta_seed, seeds))
-        except NonFiniteError as err:
-            # The failing scope's rows, if it gathered any, join the
-            # finished scopes' traces.
-            rows = np.zeros((0, 3)) if err.trace is None else err.trace
-            traces = [d[2] for d in done] + [rows]
-            raise NonFiniteError(str(err), trace=_padded_sum(traces)) from None
-    results, params, traces, early = zip(*done)
-    loss_trace = _padded_sum(traces)
     return AlignmentResult(
-        groups=tuple(chain.from_iterable(results)),
-        decoder_params=params[0] if cfg.share_decoder else None,
+        groups=tuple(replace(r, wall_seconds=wall) for r in results),
+        decoder_params=dec.DecoderParams(tuple(layers)),
         loss_trace=loss_trace,
-        steps_run=loss_trace.shape[0],
-        converged_early=all(early),
+        steps_run=len(trace_rows),
+        converged_early=early,
     )
-
-
-def _padded_sum(traces: Sequence[np.ndarray]) -> np.ndarray:
-    """Sum of the scopes' loss traces, each padded with its last row up to
-    the longest; a scope that recorded no row adds nothing."""
-    steps = max(len(t) for t in traces)
-    total = np.zeros((steps, 3))
-    for t in traces:
-        if len(t):
-            total += np.vstack([t, np.repeat(t[-1:], steps - len(t), axis=0)])
-    return total

@@ -151,10 +151,12 @@ def read_manifest(path: str | Path) -> GroupManifest:
                 path=path,
             )
         members = [base / m for m in names]
-        # Ids name output files, so they must stay inside the output folder
-        # and must not collide.
+        # Ids name output files, so they must stay inside the output folder,
+        # must not collide, and must be printable file names.
         if not gid or "/" in gid or "\\" in gid or ".." in gid:
             raise ParseError(f"group id {gid!r} is empty or path-like", path=path)
+        if any(c < " " or c == "\x7f" for c in gid):
+            raise ParseError(f"group id {gid!r} holds a control character", path=path)
         if gid in seen:
             raise ParseError(f"group id {gid!r} appears twice", path=path)
         seen.add(gid)

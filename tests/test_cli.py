@@ -303,6 +303,30 @@ class TestAlign:
         assert "error:" in err
         assert "momentum" in err
 
+    def test_share_decoder_is_an_unknown_key(self, tmp_path, capsys):
+        """A config file from before the decoder was always shared names the
+        file and the key, and creates no --out."""
+        manifest_path = _synth(tmp_path)
+        capsys.readouterr()
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"share_decoder": False}))
+        rc = main(
+            ["align", "--manifest", str(manifest_path),
+             "--out", str(tmp_path / "x"), "--config", str(cfg)] + FAST_ALIGN
+        )
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert err.startswith("error:")
+        assert str(cfg) in err and "share_decoder" in err
+        assert not (tmp_path / "x").exists()
+
+    def test_per_group_decoder_flag_is_gone(self, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["align", "--manifest", str(tmp_path / "m.json"),
+                  "--out", str(tmp_path / "x"), "--per-group-decoder"])
+        assert exc.value.code == 2
+        assert not (tmp_path / "x").exists()
+
     def test_lambda_and_its_alias_together(self, tmp_path, capsys):
         manifest_path = _synth(tmp_path)
         cfg = tmp_path / "cfg.json"
@@ -341,22 +365,7 @@ class TestAlign:
         )
         assert dataclasses.asdict(_load_config(args)) == dataclasses.asdict(defaults)
 
-    def test_per_group_decoder_flag(self, tmp_path, capsys):
-        manifest_path = _synth(tmp_path, groups=2, k=2)
-        out = tmp_path / "aligned"
-        rc = main(
-            ["align", "--manifest", str(manifest_path), "--out", str(out),
-             "--per-group-decoder"] + FAST_ALIGN
-        )
-        capsys.readouterr()
-        assert rc == 0
-        report = _read_report(out / "report.csv")
-        assert [r[0] for r in report[1:-1]] == ["g000", "g001"]
-
-    @pytest.mark.parametrize("share", [True, False])
-    def test_wall_seconds_come_from_the_alignment(
-        self, tmp_path, capsys, monkeypatch, share
-    ):
+    def test_wall_seconds_come_from_the_alignment(self, tmp_path, capsys, monkeypatch):
         results = []
 
         def spy(groups, cfg):
@@ -366,10 +375,8 @@ class TestAlign:
         monkeypatch.setattr(cli, "align", spy)
         manifest_path = _synth(tmp_path, groups=2, k=2)
         out = tmp_path / "aligned"
-        flags = [] if share else ["--per-group-decoder"]
         rc = main(
-            ["align", "--manifest", str(manifest_path), "--out", str(out)]
-            + FAST_ALIGN + flags
+            ["align", "--manifest", str(manifest_path), "--out", str(out)] + FAST_ALIGN
         )
         capsys.readouterr()
         assert rc == 0
@@ -377,9 +384,8 @@ class TestAlign:
         walls = [float(r[5]) for r in _read_report(out / "report.csv")[1:-1]]
         expected = [g.wall_seconds for g in res.groups]
         assert walls == pytest.approx(expected, abs=1e-6)
-        if share:
-            # the time of the one joint scope on both rows, not half of it
-            assert expected[0] == expected[1]
+        # the time of the one joint run on both rows, not half of it
+        assert expected[0] == expected[1]
 
     def test_deterministic_modulo_wall_time(self, tmp_path, capsys):
         manifest_path = _synth(tmp_path)
@@ -760,6 +766,13 @@ class TestManifestValidation:
     def test_other_path_like_group_ids(self, tmp_path, capsys, gid):
         groups = [self._group(gid), self._group("ok")]
         self._run(tmp_path, capsys, {"dim": 2, "groups": groups})
+
+    @pytest.mark.parametrize("gid", ["a\x00b", "a\nb", "a\x7fb"])
+    def test_control_character_in_group_id(self, tmp_path, capsys, gid):
+        groups = [self._group(gid), self._group("ok")]
+        err = self._run(tmp_path, capsys, {"dim": 2, "groups": groups}).err
+        assert str(tmp_path / "data" / "manifest.json") in err
+        assert "control character" in err
 
     def test_duplicate_group_ids(self, tmp_path, capsys):
         groups = [self._group("g"), self._group("g")]

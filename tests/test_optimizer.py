@@ -135,7 +135,6 @@ class TestConfig:
         assert cfg.reg_lambda == 0.1
         assert cfg.latent_dim == 256
         assert cfg.hidden == (128, 64)
-        assert cfg.share_decoder
 
     @pytest.mark.parametrize(
         "kwargs",
@@ -158,8 +157,8 @@ class TestConfig:
             {"hidden": 5},
             {"hidden": (128.7, 64)},
             {"hidden": "12"},
-            {"share_decoder": "no"},
-            {"share_decoder": 1},
+            {"seed": True},
+            {"hidden": (True, 8)},
             {"workers": 1.5},
             {"seed": None},
             {"seed": -1},
@@ -216,8 +215,6 @@ def test_result_structure(small_groups):
     assert res.steps_run == res.loss_trace.shape[0]
     assert res.loss_trace.shape[1] == 3
     assert ga.steps_run == res.steps_run
-    assert res.decoder_params is not None
-    assert ga.decoder_params is None
     # each row pins total = alignment + lambda * regularizer
     align_col, reg_col, total_col = res.loss_trace.T
     np.testing.assert_allclose(total_col, align_col + 0.1 * reg_col, rtol=1e-12)
@@ -230,24 +227,17 @@ def test_result_structure(small_groups):
     )
 
 
-@pytest.mark.parametrize("share", [True, False])
-def test_results_are_read_only_arrays_of_the_drifted_members(small_groups, share):
+def test_results_are_read_only_arrays_of_the_drifted_members(small_groups):
     """Each member's drift is a read-only (N, dim) array, the latent a
     read-only vector, the decoder's weights and biases are read-only, and
-    the drifted member is the input plus its drift, bit for bit, with a
-    shared decoder and with one decoder per group."""
-    cfg = OptimConfig(**{**SMALL, "max_steps": 5}, share_decoder=share)
+    the drifted member is the input plus its drift, bit for bit."""
+    cfg = OptimConfig(**{**SMALL, "max_steps": 5})
     res = align(list(small_groups), cfg)
-    if share:
-        decoders = [res.decoder_params]
-    else:
-        decoders = [ga.decoder_params for ga in res.groups]
-    assert len(decoders) == (1 if share else len(small_groups))
-    for params in decoders:
-        assert len(params.layers) == len(cfg.hidden) + 1
-        for array in (a for layer in params.layers for a in layer):
-            with pytest.raises(ValueError):
-                array[0] = 0.0
+    params = res.decoder_params
+    assert len(params.layers) == len(cfg.hidden) + 1
+    for array in (a for layer in params.layers for a in layer):
+        with pytest.raises(ValueError):
+            array[0] = 0.0
     for g, ga in zip(small_groups, res.groups):
         assert ga.latent.shape == (cfg.latent_dim,)
         with pytest.raises(ValueError):
@@ -331,34 +321,6 @@ def test_loss_workers_write_their_own_rows_under_contention(small_fish):
         np.testing.assert_array_equal(g1.latent, g2.latent)
 
 
-def test_per_group_mode_is_independent(small_fish, small_groups):
-    """With separate decoders, editing one group cannot change another, and
-    each group comes out bit-identical to aligning it alone."""
-    a, b = small_groups
-    a_alt = make_group(small_fish, 3, 0.3, seed=9, group_id="a")
-    cfg = OptimConfig(**SMALL, share_decoder=False)
-    r1 = align([a, b], cfg)
-    r2 = align([a_alt, b], cfg)
-    b1, b2 = r1.groups[1], r2.groups[1]
-    np.testing.assert_array_equal(b1.latent, b2.latent)
-    assert b1.final_normalized_cd == b2.final_normalized_cd
-    for t1, t2 in zip(b1.transformed, b2.transformed):
-        np.testing.assert_array_equal(t1.points, t2.points)
-    assert r1.decoder_params is None
-    assert b1.decoder_params is not None
-    for together, g in zip(r1.groups, (a, b)):
-        alone = align([g], cfg).groups[0]
-        np.testing.assert_array_equal(together.latent, alone.latent)
-        assert together.final_normalized_cd == alone.final_normalized_cd
-        for t1, t2 in zip(together.transformed, alone.transformed):
-            np.testing.assert_array_equal(t1.points, t2.points)
-        for layer_t, layer_a in zip(
-            together.decoder_params.layers, alone.decoder_params.layers
-        ):
-            for arr_t, arr_a in zip(layer_t, layer_a):
-                np.testing.assert_array_equal(arr_t, arr_a)
-
-
 def test_shared_mode_couples_groups(small_fish, small_groups):
     a, b = small_groups
     a_alt = make_group(small_fish, 3, 0.3, seed=9, group_id="a")
@@ -392,32 +354,6 @@ def test_window_of_one_does_not_stop_at_the_first_step(small_groups):
     assert not res.converged_early
 
 
-def test_per_group_result_sums_the_padded_traces(small_groups):
-    """One group stops early and the other runs to max_steps: the trace is
-    the sum of the groups' own traces, each padded with its final row."""
-    cfg = OptimConfig(
-        **SMALL,
-        share_decoder=False,
-        convergence_window=3,
-        convergence_rel_tol=1.5e-3,
-    )
-    alone = [align([g], cfg) for g in small_groups]
-    assert [r.converged_early for r in alone] == [False, True]
-    steps = [r.steps_run for r in alone]
-    assert steps[0] == cfg.max_steps > steps[1]
-    expected = np.zeros((cfg.max_steps, 3))
-    for r in alone:
-        pad = np.repeat(r.loss_trace[-1:], cfg.max_steps - r.steps_run, axis=0)
-        expected += np.vstack([r.loss_trace, pad])
-    res = align(list(small_groups), cfg)
-    np.testing.assert_array_equal(res.loss_trace, expected)
-    assert res.steps_run == cfg.max_steps
-    assert [g.steps_run for g in res.groups] == steps
-    assert not res.converged_early
-    all_early = replace(cfg, convergence_rel_tol=1e9)
-    assert align(list(small_groups), all_early).converged_early
-
-
 def test_non_finite_drifts_stop_the_run_with_its_trace(small_groups, monkeypatch):
     calls = []
     real = decoder.run_layers
@@ -434,6 +370,22 @@ def test_non_finite_drifts_stop_the_run_with_its_trace(small_groups, monkeypatch
     with pytest.raises(NonFiniteError, match="step 2") as info:
         align([a], OptimConfig(**SMALL))
     assert info.value.trace.shape == (2, 3)
+
+
+def test_failure_at_the_first_step_carries_an_empty_trace(small_groups, monkeypatch):
+    """No loss row is gathered before step 0, and the trace keeps its three
+    columns."""
+    real = decoder.run_layers
+
+    def poisoned(*args):
+        drifts, workspace = real(*args)
+        drifts[0, 0] = np.nan
+        return drifts, workspace
+
+    monkeypatch.setattr(decoder, "run_layers", poisoned)
+    with pytest.raises(NonFiniteError, match="step 0") as info:
+        align([small_groups[0]], OptimConfig(**SMALL))
+    assert info.value.trace.shape == (0, 3)
 
 
 def test_non_finite_gradient_stops_the_run_with_its_trace(small_groups, monkeypatch):
@@ -457,32 +409,6 @@ def test_non_finite_gradient_stops_the_run_with_its_trace(small_groups, monkeypa
     with pytest.raises(NonFiniteError, match=match) as info:
         align([a], cfg)
     np.testing.assert_array_equal(info.value.trace, before)
-
-
-def test_per_group_failure_keeps_the_finished_groups_traces(small_groups, monkeypatch):
-    """In per-group mode a failure in the second scope carries the padded
-    sum of the first scope's trace and the second scope's rows so far."""
-    a, b = small_groups
-    cfg = OptimConfig(**{**SMALL, "max_steps": 10}, share_decoder=False)
-    first = align([a], cfg).loss_trace
-    second = align([b], replace(cfg, max_steps=2)).loss_trace
-    calls = []
-    real = decoder.run_layers
-
-    def poisoned(*args):
-        drifts, workspace = real(*args)
-        calls.append(None)
-        # The first scope decodes once per step and once to finalize.
-        if len(calls) == cfg.max_steps + 1 + 3:
-            drifts[0, 0] = np.nan
-        return drifts, workspace
-
-    monkeypatch.setattr(decoder, "run_layers", poisoned)
-    with pytest.raises(NonFiniteError, match="step 2") as info:
-        align([a, b], cfg)
-    assert first.shape == (cfg.max_steps, 3)
-    expected = first + np.vstack([second, np.repeat(second[-1:], 8, axis=0)])
-    np.testing.assert_array_equal(info.value.trace, expected)
 
 
 def test_non_finite_final_drifts_raise_with_the_whole_trace(small_groups, monkeypatch):
@@ -548,24 +474,18 @@ def test_empty_member_rejected(small_groups):
     with pytest.raises(GroupAlignError, match="'hollow' has an empty member"):
         align([a, empty], OptimConfig(**SMALL))
     with pytest.raises(GroupAlignError, match="'hollow' has an empty member"):
-        align([empty], OptimConfig(**SMALL, share_decoder=False))
+        align([empty], OptimConfig(**SMALL))
 
 
-@pytest.mark.parametrize("share", [True, False])
-def test_wall_seconds_is_the_time_of_the_scope(small_groups, share):
-    """Shared mode gives every group the time of the one joint scope, not a
-    share of it; per-group mode gives each group its own scope's time."""
-    cfg = OptimConfig(**{**SMALL, "max_steps": 20}, share_decoder=share)
+def test_wall_seconds_is_the_time_of_the_scope(small_groups):
+    """Every group gets the time of the one joint run, not a share of it."""
+    cfg = OptimConfig(**{**SMALL, "max_steps": 20})
     t0 = time.perf_counter()
     res = align(list(small_groups), cfg)
     outer = time.perf_counter() - t0
     walls = [g.wall_seconds for g in res.groups]
-    if share:
-        assert walls[0] == walls[1]
-        assert 0.5 * outer < walls[0] <= outer
-    else:
-        assert walls[0] != walls[1]
-        assert 0.5 * outer < sum(walls) <= outer
+    assert walls[0] == walls[1]
+    assert 0.5 * outer < walls[0] <= outer
 
 
 def test_loss_pool_only_for_several_groups(small_groups, monkeypatch):
@@ -577,7 +497,6 @@ def test_loss_pool_only_for_several_groups(small_groups, monkeypatch):
     a, b = small_groups
     cfg = {**SMALL, "max_steps": 2, "workers": 4}
     align([a], OptimConfig(**cfg))
-    align([a, b], OptimConfig(**cfg, share_decoder=False))
     assert made == []
     align([a, b], OptimConfig(**cfg))
     assert made == [2]

@@ -184,6 +184,15 @@ class TestManifest:
             read_manifest(mp)
         assert exc.value.path == mp
 
+    @pytest.mark.parametrize("gid", ["a\x00b", "a\nb"])
+    def test_control_character_in_group_id(self, tmp_path, gid):
+        mp = tmp_path / "manifest.json"
+        group = {"id": gid, "members": ["a.txt", "b.txt"]}
+        mp.write_text(json.dumps({"dim": 2, "groups": [group]}))
+        with pytest.raises(ParseError, match="control character") as exc:
+            read_manifest(mp)
+        assert exc.value.path == mp
+
     def test_non_utf8_manifest_names_the_file(self, tmp_path):
         mp = tmp_path / "manifest.json"
         mp.write_bytes(b'{"dim": 2, "groups": ["\xff"]}')

@@ -6,12 +6,10 @@ Usage (from the repository root):
     python3 tools/fingerprint.py --compare A.npz B.npz
 
 It aligns, at seed 1 and under ``workers`` 1 and 2: one K=7 fish group
-for 500 steps; one K=50 fish group for 15 steps with reg_lambda 0.5; ten
-groups of three 2048-point 3D blobs for 8 steps; and two groups of three
-512-point 3D blobs with a decoder per group for 50 steps. Each hash
-covers the loss trace, every group's transformed points, drifts, latent,
-initial and final normalized Chamfer, final loss, steps run, and the
-decoder weights. Two checkouts that print the same lines give the same
+for 500 steps; one K=50 fish group for 15 steps with reg_lambda 0.5; and
+ten groups of three 2048-point 3D blobs for 8 steps. Each hash covers the
+loss trace, every group's transformed points, drifts, latent, initial and
+final normalized Chamfer, final loss, steps run, and the decoder weights. Two checkouts that print the same lines give the same
 results bit for bit, which includes the inputs ``make_group`` builds.
 
 BLAS rounding differs between machines and BLAS thread counts, so compare
@@ -59,8 +57,6 @@ RUNS = {
     "fish_k50": (lambda: [make_group(fish_shape(), 50, 0.2, SEED)],
                  {"max_steps": 15, "reg_lambda": 0.5}),
     "blob_10x3": (lambda: _blob_groups(10, 2048), {"max_steps": 8}),
-    "blob_2x3_per_group": (lambda: _blob_groups(2, 512),
-                           {"max_steps": 50, "share_decoder": False}),
 }
 
 
@@ -72,13 +68,9 @@ def hashed_arrays(result) -> dict[str, np.ndarray]:
         for key, v in values.items():
             out[prefix + key] = np.ascontiguousarray(v, dtype=np.float64)
 
-    def feed_decoder(prefix, params):
-        if params is not None:
-            for i, (weight, bias) in enumerate(params.layers):
-                feed(prefix, **{f"W{i}": weight, f"b{i}": bias})
-
     feed("", loss_trace=result.loss_trace, steps_run=result.steps_run)
-    feed_decoder("decoder.", result.decoder_params)
+    for i, (weight, bias) in enumerate(result.decoder_params.layers):
+        feed("decoder.", **{f"W{i}": weight, f"b{i}": bias})
     for gi, g in enumerate(result.groups):
         prefix = f"group{gi}."
         feed(prefix, **{f"transformed{i}": m.points for i, m in enumerate(g.transformed)})
@@ -87,7 +79,6 @@ def hashed_arrays(result) -> dict[str, np.ndarray]:
         feed(prefix, initial_ncd=g.initial_normalized_cd, final_ncd=g.final_normalized_cd,
              alignment=loss.alignment, regularizer=loss.regularizer, total=loss.total,
              loss_ncd=loss.normalized_cd, steps_run=g.steps_run)
-        feed_decoder(prefix + "decoder.", g.decoder_params)
     return out
 
 
