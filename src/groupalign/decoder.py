@@ -8,7 +8,9 @@ weights, biases and latents, but not the input coordinates.
 Both passes run in blocks of at most BLOCK_ROWS rows of one segment, through
 one workspace of block-sized buffers that the caller can reuse for every
 pass: the backward pass finds the forward pass's last block still there and
-recomputes the others.
+recomputes the others. A block is 1024 rows: its 128-wide float64 layer-0
+activations take 1 MiB, which fits a 2 MiB per-core L2 cache, where a
+2048-row block does not.
 """
 from __future__ import annotations
 
@@ -19,7 +21,7 @@ import numpy as np
 
 Layer = tuple[np.ndarray, np.ndarray]  # weight (out, in), bias (out,)
 
-BLOCK_ROWS = 2048  # rows per block, which bounds the activations a pass holds
+BLOCK_ROWS = 1024  # rows per block, which bounds the activations a pass holds
 
 
 @dataclass(frozen=True, eq=False)
@@ -120,7 +122,8 @@ def run_layers_backward(
     dim = coords.shape[1]
     segment_bias = latents @ weight0[:, dim:].T + bias0
     d_layers = [(np.zeros_like(w), np.zeros_like(b)) for w, b in layers[1:]]
-    d_coords = np.zeros((weight0.shape[0], dim))
+    # Layer 0's weight gradient: coordinate columns, then latent columns.
+    d_weight0 = np.zeros_like(weight0)
     # Layer 0 sees each segment's latent as a constant input, so its rows'
     # gradients enter the latent terms only through their per-segment sums.
     seg_grad = np.zeros((len(starts), weight0.shape[0]))
@@ -141,9 +144,9 @@ def run_layers_backward(
             np.matmul(grad, layers[i][0], out=act)
             act *= mask
             grad = act
-        d_coords += grad.T @ coords[lo:hi]
+        d_weight0[:, :dim] += grad.T @ coords[lo:hi]
         seg_grad[s] += grad.sum(axis=0)
-    d_weight0 = np.hstack([d_coords, seg_grad.T @ latents])
+    np.matmul(seg_grad.T, latents, out=d_weight0[:, dim:])
     return [(d_weight0, seg_grad.sum(axis=0)), *d_layers], seg_grad @ weight0[:, dim:]
 
 

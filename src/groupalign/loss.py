@@ -78,7 +78,10 @@ def alignment_terms(arrays: Sequence[np.ndarray]) -> tuple[float, list[np.ndarra
         queries = np.concatenate((stacked[:lo], stacked[hi:]))
         dist, idx = _nearest(target, queries)
         total += 2.0 * float(dist @ dist)
-        diff = 4.0 * (queries - target[idx])
+        # The gradient rows, formed in the queries' own copy.
+        diff = queries
+        diff -= target[idx]
+        diff *= 4.0
         grad[:lo] += diff[:lo]
         grad[hi:] += diff[lo:]
         # One flattened bincount scatters every coordinate onto the target.

@@ -310,6 +310,7 @@ def align(groups: Sequence[Group], cfg: OptimConfig | None = None) -> AlignmentR
         # group's losses on plain arrays, on the loss pool.
         loss_trace = np.array(trace_rows)
         drifts = dec.forward(layers, x_all, latents, starts, workspace)
+        workspace.clear()  # finalize needs no block buffers
         if not np.isfinite(drifts).all():
             raise NonFiniteError("final drifts are non-finite", trace=loss_trace)
         for array in (drifts, latents, *chain.from_iterable(layers)):

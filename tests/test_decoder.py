@@ -139,7 +139,7 @@ def test_one_workspace_serves_pass_after_pass():
     """Two forward and backward passes through one workspace, with other
     latents and upstream the second time, equal two passes through fresh
     workspaces bit for bit. Segments of 2500 rows end in 452-row blocks,
-    so the workspace's 2048-row buffers are also used in part. The
+    so the workspace's BLOCK_ROWS-row buffers are also used in part. The
     workspace is filled once and keeps its buffers."""
     rng = np.random.default_rng(18)
     layers = init_params(3, 4, (6, 5), seed=17)
@@ -153,7 +153,9 @@ def test_one_workspace_serves_pass_after_pass():
         out, returned = run_layers(layers, coords, latents, starts, workspace)
         assert returned is workspace
         buffers = [id(buf) for buf in workspace]
-        assert [buf.shape for buf in workspace] == [(2048, 6), (2048, 5)]
+        assert [buf.shape for buf in workspace] == [
+            (decoder.BLOCK_ROWS, 6), (decoder.BLOCK_ROWS, 5)
+        ]
         d_layers, d_latents = run_layers_backward(
             layers, coords, upstream, latents, starts, workspace
         )
@@ -162,6 +164,40 @@ def test_one_workspace_serves_pass_after_pass():
         np.testing.assert_array_equal(out, ref_out)
         for got, want in zip([a for pair in d_layers for a in pair] + [d_latents], ref_grads):
             np.testing.assert_array_equal(got, want)
+
+
+def test_layer0_weight_gradient_is_the_old_hstack():
+    """Layer 0's weight gradient, built in one array, equals the old
+    np.hstack([d_coords, seg_grad.T @ latents]) bit for bit on two one-block
+    segments. Each segment's terms come from a pass whose upstream is zero
+    outside that segment: its d_coords are the coordinate columns of that
+    pass's dW0 and its seg_grad row is that pass's db0, since adding the
+    other segment's zeros is exact."""
+    rng = np.random.default_rng(43)
+    layers = init_params(2, 5, (7, 4), seed=44)
+    coords = rng.normal(size=(50, 2))
+    latents = rng.normal(0, 0.5, (2, 5))
+    upstream = rng.normal(size=coords.shape)
+    starts = [0, 30]
+    _, workspace = run_layers(layers, coords, latents, starts)
+    (d_weight0, _), *_ = run_layers_backward(
+        layers, coords, upstream, latents, starts, workspace
+    )[0]
+    d_coords = np.zeros((7, 2))
+    seg_grad = np.zeros((2, 7))
+    # The backward pass walks the blocks last first.
+    for s, rows in reversed(list(enumerate([slice(0, 30), slice(30, 50)]))):
+        masked = np.zeros_like(upstream)
+        masked[rows] = upstream[rows]
+        _, workspace = run_layers(layers, coords, latents, starts)
+        (part, seg_row), *_ = run_layers_backward(
+            layers, coords, masked, latents, starts, workspace
+        )[0]
+        d_coords += part[:, :2]
+        seg_grad[s] = seg_row
+    np.testing.assert_array_equal(
+        d_weight0, np.hstack([d_coords, seg_grad.T @ latents])
+    )
 
 
 def test_forward_rows_are_independent():
@@ -323,8 +359,9 @@ def test_block_size_does_not_change_the_pass(monkeypatch):
 
 
 def test_whole_blocks_decode_bit_identically(monkeypatch):
-    """Segments that split into whole 2048-row blocks, as in the 3D blob
-    benchmark, decode to the same bits as one block per segment."""
+    """Segments of 6144 and 4096 rows, which split into whole BLOCK_ROWS-row
+    blocks as the 3D blob benchmark's do, decode to the same bits as one
+    block per segment."""
     rng = np.random.default_rng(25)
     layers = init_params(3, 256, (128, 64), seed=26)
     coords = rng.normal(size=(6144 + 4096, 3))

@@ -1,12 +1,14 @@
 import sys
 import time
 import tracemalloc
+import weakref
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from groupalign import decoder, optimizer
+from groupalign import loss as losses
 from groupalign.errors import GroupAlignError, NonFiniteError
 from groupalign.geometry import Group, PointSet
 from groupalign.loss import normalized_cd
@@ -282,11 +284,14 @@ def test_worker_count_does_not_change_results(small_groups):
 
 
 def test_objective_holds_about_one_block_of_activations():
-    """Two 3D groups of three 2048-row members, six decoder blocks: one
+    """Two 3D groups of three 2048-row members, twelve decoder blocks: one
     objective call, which allocates its own decoder workspace, peaks below
-    1.5 blocks' activations (coordinates and hidden layers). Every pass
-    runs in the one block-sized workspace, no full drifted copy of the rows
-    outlives the loss, and the loss gradient takes the drifts' place."""
+    3.2 MB. The peak holds the 1.57 MB workspace of one 1024-row block, the
+    0.29 MB drift array and one 6144-row group's loss transients, about
+    1 MB, which do not shrink with the block. Every pass runs in the one
+    block-sized workspace, no full drifted copy of the rows outlives the
+    loss, and the loss gradient takes the drifts' place. A 2048-row
+    workspace alone takes 3.1 MB."""
     rng = np.random.default_rng(31)
     hidden = (128, 64)
     x_all = rng.normal(size=(6 * 2048, 3))
@@ -299,7 +304,47 @@ def test_objective_holds_about_one_block_of_activations():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 1.5 * 8 * decoder.BLOCK_ROWS * (3 + sum(hidden))
+    assert peak < 3.2e6
+
+
+def test_k50_fish_run_peaks_below_4_3_mb():
+    """A 2-step run on one K=50 fish group (4550 rows, five decoder
+    blocks), after a 1-step warm-up, peaks below 4.3 MB under tracemalloc:
+    about 3.75 MB, where 2048-row blocks and a workspace kept through
+    finalize took 5.5 MB."""
+    groups = [make_group(fish_shape(), 50, 0.2, 1)]
+    align(groups, OptimConfig(max_steps=1, reg_lambda=0.5))
+    tracemalloc.start()
+    try:
+        align(groups, OptimConfig(max_steps=2, reg_lambda=0.5))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4.3e6
+
+
+def test_finalize_runs_without_the_decoder_workspace(small_groups, monkeypatch):
+    """Every buffer of every decoder workspace is freed before the first
+    final loss is taken: finalize holds no block buffers."""
+    refs = []
+    run_layers = decoder.run_layers
+
+    def recording(*args, **kwargs):
+        out, workspace = run_layers(*args, **kwargs)
+        refs.extend(weakref.ref(buf) for buf in workspace)
+        return out, workspace
+
+    live = []
+    regularized_loss = losses.regularized_loss
+
+    def counting(*args, **kwargs):
+        live.append(sum(ref() is not None for ref in refs))
+        return regularized_loss(*args, **kwargs)
+
+    monkeypatch.setattr(decoder, "run_layers", recording)
+    monkeypatch.setattr(losses, "regularized_loss", counting)
+    align(small_groups, OptimConfig(**{**SMALL, "max_steps": 3}))
+    assert refs and live == [0, 0]
 
 
 def test_loss_workers_write_their_own_rows_under_contention(small_fish):
