@@ -61,35 +61,34 @@ def _nearest(target: np.ndarray, queries: np.ndarray) -> tuple[np.ndarray, np.nd
 
 # Overflow in a diverging run is reported by the optimizer's finite checks.
 @np.errstate(over="ignore", invalid="ignore")
-def alignment_terms(arrays: Sequence[np.ndarray]) -> tuple[float, list[np.ndarray]]:
-    """Groupwise alignment value and its gradient per point array.
+def alignment_terms(
+    arrays: Sequence[np.ndarray], out: np.ndarray | None = None
+) -> tuple[float, list[np.ndarray]]:
+    """Groupwise alignment value and its gradient per point array, as row
+    views of ``out`` (the stacked rows' shape, overwritten) when given.
 
     One KD-tree per target member answers the points of all other members
     in a single query. Each one-sided squared-distance sum enters the
     ordered-pair total twice; gradients flow both to the query point and
-    to the matched neighbor, with the match held fixed.
-    """
-    stacked = np.concatenate(arrays)
+    to the matched neighbor, with the match held fixed."""
     bounds = np.cumsum([0] + [a.shape[0] for a in arrays])
-    dim = stacked.shape[1]
-    grad = np.zeros_like(stacked)
+    out = np.empty((bounds[-1], arrays[0].shape[1])) if out is None else out
+    out.fill(0.0)
     total = 0.0
-    for target, lo, hi in zip(arrays, bounds[:-1], bounds[1:]):
-        queries = np.concatenate((stacked[:lo], stacked[hi:]))
+    for i, (target, lo, hi) in enumerate(zip(arrays, bounds[:-1], bounds[1:])):
+        queries = np.concatenate([*arrays[:i], *arrays[i + 1 :]])
         dist, idx = _nearest(target, queries)
         total += 2.0 * float(dist @ dist)
         # The gradient rows, formed in the queries' own copy.
         diff = queries
         diff -= target[idx]
         diff *= 4.0
-        grad[:lo] += diff[:lo]
-        grad[hi:] += diff[lo:]
-        # One flattened bincount scatters every coordinate onto the target.
-        slots = (idx[:, None] * dim + np.arange(dim)).ravel()
-        grad[lo:hi] -= np.bincount(
-            slots, weights=diff.ravel(), minlength=target.size
-        ).reshape(target.shape)
-    return total, np.split(grad, bounds[1:-1])
+        out[:lo] += diff[:lo]
+        out[hi:] += diff[lo:]
+        # One bincount per coordinate scatters the rows onto the target.
+        for c in range(out.shape[1]):
+            out[lo:hi, c] -= np.bincount(idx, weights=diff[:, c], minlength=hi - lo)
+    return total, np.split(out, bounds[1:-1])
 
 
 @np.errstate(over="ignore", invalid="ignore")
@@ -97,8 +96,7 @@ def drift_penalty(drifts: np.ndarray) -> tuple[float, np.ndarray]:
     """Sum of per-point drift norms and its subgradient (zero at zero)."""
     norms = np.sqrt((drifts * drifts).sum(axis=1))
     grad = np.zeros_like(drifts)
-    nz = norms > 0.0
-    grad[nz] = drifts[nz] / norms[nz, None]
+    np.divide(drifts, norms[:, None], out=grad, where=norms[:, None] > 0.0)
     return float(norms.sum()), grad
 
 

@@ -39,10 +39,11 @@ def adam_step(
 ) -> None:
     """One bias-corrected Adam update, in place, of ``variable`` and its
     first and second moments ``m`` and ``v``; ``t`` is the step number,
-    counted from 1. Nothing is checked here: the shapes match by
-    construction, and ``_objective`` has checked that the gradient is finite.
+    counted from 1; the gradient is consumed. Nothing is checked here: the
+    shapes match by construction, and ``_objective`` has checked that the
+    gradient is finite.
 
-    The textbook expressions, in their order, evaluated in two temporaries:
+    The textbook expressions, in their order, evaluated in one temporary:
     m = b1 m + (1 - b1) g; v = b2 v + (1 - b2) g g;
     variable -= lr m_hat / (sqrt(v_hat) + eps)."""
     tmp = np.multiply(gradient, 1.0 - BETA1)
@@ -55,7 +56,7 @@ def adam_step(
     denom = np.divide(v, 1.0 - BETA2**t, out=tmp)
     np.sqrt(denom, out=denom)
     denom += EPSILON
-    step = np.divide(m, 1.0 - BETA1**t)
+    step = np.divide(m, 1.0 - BETA1**t, out=gradient)
     step *= lr
     step /= denom
     variable -= step
@@ -207,12 +208,11 @@ def _objective(
         rows once they are read, and only those, so the pool's tasks never
         share a row."""
         rows = slice(members[0].start, members[-1].stop)
-        drifted = [x_all[s] + drifts[s] for s in members]
-        align_val, align_grads = losses.alignment_terms(drifted)
         reg_val, reg_grad = losses.drift_penalty(drifts[rows])
-        np.concatenate(align_grads, out=drifts[rows])
-        reg_grad *= reg_lambda
-        drifts[rows] += reg_grad
+        drifted = x_all[rows] + drifts[rows]
+        views = np.split(drifted, [s.stop - rows.start for s in members[:-1]])
+        align_val = losses.alignment_terms(views, out=drifts[rows])[0]
+        drifts[rows] += np.multiply(reg_grad, reg_lambda, out=reg_grad)
         return align_val, reg_val
 
     align_total = 0.0
@@ -301,6 +301,7 @@ def align(groups: Sequence[Group], cfg: OptimConfig | None = None) -> AlignmentR
             gradients = chain(chain.from_iterable(d_layers), d_latents)
             for var, grad, (m, v) in zip(variables, gradients, moments, strict=True):
                 adam_step(var, grad, m, v, lr, step + 1)
+            del d_layers, d_latents, gradients, grad, m, v  # free before the next step
 
             if converged([r[2] for r in trace_rows[-window:]], cfg):
                 early = True
@@ -309,6 +310,7 @@ def align(groups: Sequence[Group], cfg: OptimConfig | None = None) -> AlignmentR
         # Finalize on the same row layout: one batched decode, then each
         # group's losses on plain arrays, on the loss pool.
         loss_trace = np.array(trace_rows)
+        del moments  # finalize needs no Adam moments
         drifts = dec.forward(layers, x_all, latents, starts, workspace)
         workspace.clear()  # finalize needs no block buffers
         if not np.isfinite(drifts).all():

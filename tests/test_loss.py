@@ -19,6 +19,31 @@ from oracle import (
 )
 
 
+def _flat_scatter_terms(arrays):
+    """The kernel as it was before it took ``out``: a stacked copy of the
+    rows, and one flattened bincount over ``slots`` per target. The
+    reference for the current kernel's bit-identity."""
+    stacked = np.concatenate(arrays)
+    bounds = np.cumsum([0] + [a.shape[0] for a in arrays])
+    dim = stacked.shape[1]
+    grad = np.zeros_like(stacked)
+    total = 0.0
+    for target, lo, hi in zip(arrays, bounds[:-1], bounds[1:]):
+        queries = np.concatenate((stacked[:lo], stacked[hi:]))
+        dist, idx = _nearest(target, queries)
+        total += 2.0 * float(dist @ dist)
+        diff = queries
+        diff -= target[idx]
+        diff *= 4.0
+        grad[:lo] += diff[:lo]
+        grad[hi:] += diff[lo:]
+        slots = (idx[:, None] * dim + np.arange(dim)).ravel()
+        grad[lo:hi] -= np.bincount(
+            slots, weights=diff.ravel(), minlength=target.size
+        ).reshape(target.shape)
+    return total, np.split(grad, bounds[1:-1])
+
+
 def _pair(a, b):
     """Symmetric Chamfer of one pair: the groupwise value counts it twice."""
     return groupwise_chamfer([a, b]) / 2.0
@@ -179,6 +204,49 @@ class TestGradients:
             groupwise_chamfer([PointSet(a) for a in arrays]), rel=1e-12
         )
         assert [g.shape for g in grads] == [a.shape for a in arrays]
+
+    def test_writes_its_gradient_over_out(self):
+        """With ``out``, the kernel overwrites the buffer's old contents and
+        returns row views of it, equal bit for bit to the allocating call."""
+        rng = np.random.default_rng(45)
+        arrays = [rng.uniform(-1, 1, (n, 3)) for n in (9, 14, 11)]
+        total, grads = alignment_terms(arrays)
+        buf = np.full((34, 3), np.nan)
+        out_total, out_grads = alignment_terms(arrays, out=buf)
+        assert out_total == total
+        for got, want in zip(out_grads, grads, strict=True):
+            np.testing.assert_array_equal(got, want)
+            assert np.shares_memory(got, buf)
+        np.testing.assert_array_equal(buf, np.concatenate(grads))
+
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_scatter_matches_the_flat_bincount_bit_for_bit(self, dim):
+        """One bincount per coordinate gives the flattened ``slots``
+        bincount's sums bit for bit. Two identical members give
+        zero-distance matches, and some target points match no query."""
+        rng = np.random.default_rng(46 + dim)
+        base = rng.uniform(-1, 1, (12, dim))
+        arrays = [base, base.copy(), *(rng.uniform(-1, 1, (n, dim)) for n in (7, 20))]
+        total, grads = alignment_terms(arrays)
+        ref_total, ref_grads = _flat_scatter_terms(arrays)
+        assert total == ref_total
+        for got, want in zip(grads, ref_grads, strict=True):
+            np.testing.assert_array_equal(got, want)
+
+    def test_drift_penalty_matches_the_fancy_index_division_bit_for_bit(self):
+        """The masked division equals the fancy-index division it replaced,
+        with zero-drift rows left at zero."""
+        rng = np.random.default_rng(48)
+        drifts = rng.normal(scale=1e-3, size=(30, 3))
+        drifts[::4] = 0.0
+        norms = np.sqrt((drifts * drifts).sum(axis=1))
+        nz = norms > 0.0
+        expected = np.zeros_like(drifts)
+        expected[nz] = drifts[nz] / norms[nz, None]
+        value, grad = drift_penalty(drifts)
+        assert value == float(norms.sum())
+        np.testing.assert_array_equal(grad, expected)
+        assert not grad[::4].any()
 
     def test_drift_penalty_subgradient(self):
         drifts = np.array([[3.0, 4.0], [0.0, 0.0]])

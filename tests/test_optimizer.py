@@ -3,6 +3,7 @@ import time
 import tracemalloc
 import weakref
 from dataclasses import replace
+from itertools import chain
 
 import numpy as np
 import pytest
@@ -71,7 +72,7 @@ class TestAdam:
         for t in range(1, 21):
             g = rng.normal(scale=10.0 ** rng.integers(-6, 3), size=x.shape)
             lr = lr_at(t - 1, cfg)
-            adam_step(x, g, m, v, lr, t)
+            adam_step(x, g.copy(), m, v, lr, t)  # adam_step consumes its gradient
             ref_m = BETA1 * ref_m + (1.0 - BETA1) * g
             ref_v = BETA2 * ref_v + (1.0 - BETA2) * g * g
             m_hat = ref_m / (1.0 - BETA1**t)
@@ -81,18 +82,20 @@ class TestAdam:
         np.testing.assert_array_equal(m, ref_m)
         np.testing.assert_array_equal(v, ref_v)
 
-    def test_holds_at_most_two_temporaries(self):
+    def test_holds_one_temporary(self):
+        """The step is formed in the spent gradient, so one temporary of
+        the variable's size is all the update allocates."""
         rng = np.random.default_rng(5)
         x, g = rng.normal(size=(2, 100_000))
         m, v = np.zeros_like(x), np.zeros_like(x)
-        adam_step(x, g, m, v, 1e-3, 1)
+        adam_step(x, g.copy(), m, v, 1e-3, 1)
         tracemalloc.start()
         try:
             adam_step(x, g, m, v, 1e-3, 2)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 2 * x.nbytes + 4096
+        assert peak <= x.nbytes + 4096
 
 
 class TestSchedule:
@@ -286,12 +289,14 @@ def test_worker_count_does_not_change_results(small_groups):
 def test_objective_holds_about_one_block_of_activations():
     """Two 3D groups of three 2048-row members, twelve decoder blocks: one
     objective call, which allocates its own decoder workspace, peaks below
-    3.2 MB. The peak holds the 1.57 MB workspace of one 1024-row block, the
-    0.29 MB drift array and one 6144-row group's loss transients, about
-    1 MB, which do not shrink with the block. Every pass runs in the one
-    block-sized workspace, no full drifted copy of the rows outlives the
-    loss, and the loss gradient takes the drifts' place. A 2048-row
-    workspace alone takes 3.1 MB."""
+    2.7 MB, at about 2.52 MB inside the loss kernel. The peak holds the
+    1.57 MB workspace of one 1024-row block, the 0.29 MB drift array, one
+    6144-row group's drifted rows and penalty gradient (0.29 MB) and the
+    kernel's transients for one target (about 0.36 MB), which do not
+    shrink with the block. Every pass runs in the one block-sized
+    workspace, no full drifted copy of the rows outlives the loss, and the
+    kernel writes the loss gradient over the drifts. A 2048-row workspace
+    alone takes 3.1 MB."""
     rng = np.random.default_rng(31)
     hidden = (128, 64)
     x_all = rng.normal(size=(6 * 2048, 3))
@@ -304,23 +309,77 @@ def test_objective_holds_about_one_block_of_activations():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 3.2e6
+    assert peak < 2.7e6
 
 
-def test_k50_fish_run_peaks_below_4_3_mb():
-    """A 2-step run on one K=50 fish group (4550 rows, five decoder
-    blocks), after a 1-step warm-up, peaks below 4.3 MB under tracemalloc:
-    about 3.75 MB, where 2048-row blocks and a workspace kept through
-    finalize took 5.5 MB."""
-    groups = [make_group(fish_shape(), 50, 0.2, 1)]
-    align(groups, OptimConfig(max_steps=1, reg_lambda=0.5))
+def _two_step_peak(groups, **settings):
+    """Tracemalloc peak of a 2-step run, after a 1-step warm-up."""
+    align(groups, OptimConfig(max_steps=1, **settings))
     tracemalloc.start()
     try:
-        align(groups, OptimConfig(max_steps=2, reg_lambda=0.5))
-        peak = tracemalloc.get_traced_memory()[1]
+        align(groups, OptimConfig(max_steps=2, **settings))
+        return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 4.3e6
+
+
+def test_k50_fish_run_peaks_below_3_5_mb():
+    """A 2-step run on one K=50 fish group (4550 rows, five decoder
+    blocks) peaks at about 3.27 MB. It was 3.75 MB while the loss stacked
+    its own copy of the rows and the previous step's gradients lived on
+    into the next step."""
+    groups = [make_group(fish_shape(), 50, 0.2, 1)]
+    assert _two_step_peak(groups, reg_lambda=0.5) < 3.5e6
+
+
+def test_k7_fish_run_peaks_below_2_75_mb():
+    """A 2-step run on one K=7 fish group (637 rows, one decoder block)
+    under the stock settings peaks at about 2.60 MB. It was 2.86 MB while
+    Adam held a second temporary and the previous step's gradients lived
+    on into the next step."""
+    groups = [make_group(fish_shape(), 7, 0.4, 1)]
+    assert _two_step_peak(groups) < 2.75e6
+
+
+def test_a_step_holds_one_set_of_gradients(small_groups, monkeypatch):
+    """Every layer and latent gradient of one step is freed before the next
+    step's backward pass starts: Adam consumes them and the step drops
+    them, so a step never holds two sets."""
+    refs, live = [], []
+    backward = decoder.run_layers_backward
+
+    def recording(*args, **kwargs):
+        live.append(sum(ref() is not None for ref in refs))
+        d_layers, d_latents = backward(*args, **kwargs)
+        refs.extend(weakref.ref(g) for g in chain(*d_layers, [d_latents]))
+        return d_layers, d_latents
+
+    monkeypatch.setattr(decoder, "run_layers_backward", recording)
+    align(small_groups, OptimConfig(**{**SMALL, "max_steps": 3}))
+    assert live == [0, 0, 0]
+
+
+def test_finalize_runs_without_the_adam_moments(small_groups, monkeypatch):
+    """Every Adam moment array is freed before the first final loss is
+    taken."""
+    refs = []
+    step = optimizer.adam_step
+
+    def recording(variable, gradient, m, v, lr, t):
+        refs.extend((weakref.ref(m), weakref.ref(v)))
+        step(variable, gradient, m, v, lr, t)
+
+    live = []
+    regularized_loss = losses.regularized_loss
+
+    def counting(*args, **kwargs):
+        live.append(sum(ref() is not None for ref in refs))
+        return regularized_loss(*args, **kwargs)
+
+    monkeypatch.setattr(optimizer, "adam_step", recording)
+    monkeypatch.setattr(losses, "regularized_loss", counting)
+    align(small_groups, OptimConfig(**{**SMALL, "max_steps": 3}))
+    assert refs and live == [0, 0]
 
 
 def test_finalize_runs_without_the_decoder_workspace(small_groups, monkeypatch):
