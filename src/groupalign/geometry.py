@@ -20,7 +20,7 @@ GLD_INIT_STD = 0.1
 
 @dataclass(frozen=True, eq=False)
 class PointSet:
-    """An ordered set of 2D or 3D points, shape (N, dim)."""
+    """An ordered set of 2D or 3D points, shape (N, dim) with N >= 1."""
 
     points: np.ndarray
 
@@ -30,6 +30,8 @@ class PointSet:
             raise GroupAlignError(
                 f"points must have shape (N, 2) or (N, 3), got {arr.shape}"
             )
+        if arr.shape[0] == 0:
+            raise GroupAlignError("a point set needs at least one point")
         if not np.isfinite(arr).all():
             raise NonFiniteError("points contain non-finite values")
         arr.setflags(write=False)
@@ -78,8 +80,6 @@ def normalize(ps: PointSet) -> PointSet:
 
     The returned set has centroid at the origin and max distance 1 from it.
     """
-    if len(ps) == 0:
-        raise GroupAlignError("cannot normalize an empty point set")
     centered = ps.points - ps.points.mean(axis=0)
     radius = float(np.sqrt((centered * centered).sum(axis=1).max()))
     if radius == 0.0:

@@ -23,7 +23,7 @@ def groupwise_chamfer(sets: Sequence[PointSet]) -> float:
     """Sum of pairwise Chamfer distances over all ordered pairs of sets.
 
     The sets are a group's members: at least two, non-empty, of one
-    dimensionality, as ``Group`` and ``align`` check."""
+    dimensionality, as ``Group`` and ``PointSet`` check."""
     return alignment_terms([s.points for s in sets])[0]
 
 

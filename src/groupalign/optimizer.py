@@ -244,9 +244,6 @@ def align(groups: Sequence[Group], cfg: OptimConfig | None = None) -> AlignmentR
     dims = {g.dim for g in groups}
     if len(dims) != 1:
         raise GroupAlignError(f"groups mix dimensionalities: {dims}")
-    for g in groups:
-        if any(len(m) == 0 for m in g.members):
-            raise GroupAlignError(f"group {g.group_id!r} has an empty member")
 
     start_time = time.perf_counter()
     dim = groups[0].dim

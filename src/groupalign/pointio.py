@@ -150,6 +150,8 @@ def read_manifest(path: str | Path) -> GroupManifest:
                 f"group {gid!r}: members must be a list of file names, got {names!r}",
                 path=path,
             )
+        if any("\0" in m for m in names):
+            raise ParseError(f"group {gid!r}: a member name holds a NUL", path=path)
         members = [base / m for m in names]
         # Ids name output files, so they must stay inside the output folder,
         # must not collide, and must be printable file names.

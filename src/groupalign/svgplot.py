@@ -46,8 +46,8 @@ def render_svg(sets: Sequence[PointSet], path: str | Path) -> None:
         if s.dim != 2:
             raise GroupAlignError("SVG rendering works on 2D point sets only")
 
-    if sets and any(len(s) for s in sets):
-        stacked = np.vstack([s.points for s in sets if len(s)])
+    if sets:
+        stacked = np.vstack([s.points for s in sets])
         lo = stacked.min(axis=0)
         hi = stacked.max(axis=0)
     else:

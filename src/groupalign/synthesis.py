@@ -1,24 +1,27 @@
 """Synthetic data generation: smooth random warps and noise corruptions.
 
 Groups of "same shape, different deformation" members are produced by
-thin-plate-spline warping a normalized base shape with seeded Gaussian
-perturbations of a control grid. Three corruptions, named in
-``CORRUPTIONS``, mimic common sensor defects: added outliers, a removed
-contiguous patch, and per-point jitter.
+thin-plate-spline warping (SciPy's ``RBFInterpolator``) a normalized base
+shape with seeded Gaussian perturbations of a control grid. Three
+corruptions, named in ``CORRUPTIONS``, mimic common sensor defects: added
+outliers, a removed contiguous patch, and per-point jitter.
 """
 from __future__ import annotations
 
 import math
-from typing import Callable
 
 import numpy as np
-from scipy.spatial.distance import cdist
-from scipy.special import xlogy
+from scipy.interpolate import RBFInterpolator
 
 from .errors import GroupAlignError
 from .geometry import Group, PointSet
 
+# A small diagonal ridge keeps the kernel block well conditioned; it
+# perturbs the interpolation by well under 1e-6 for our grids.
 TPS_RIDGE = 1e-8
+# The warp's kernel (r^2 log r in 2D, r in 3D) and smoothing per dim.
+# SciPy's linear kernel is -r, so the ridge on the r block flips sign.
+TPS_KERNELS = {2: ("thin_plate_spline", TPS_RIDGE), 3: ("linear", -TPS_RIDGE)}
 OUTLIER_STD = 0.5
 # Control-grid resolution per axis: 5x5 in 2D, 4x4x4 in 3D.
 GRID_PER_AXIS = {2: 5, 3: 4}
@@ -33,50 +36,6 @@ def _check_level(name: str, level: float, upper: float = math.inf) -> None:
 
 def _round_half_up(x: float) -> int:
     return int(np.floor(x + 0.5))
-
-
-def _tps_kernel(r: np.ndarray, dim: int) -> np.ndarray:
-    if dim == 2:
-        return xlogy(r * r, r)  # r^2 log r, 0 at r=0
-    return r
-
-
-def fit_tps(
-    control: np.ndarray, targets: np.ndarray
-) -> Callable[[np.ndarray], np.ndarray]:
-    """Solve the TPS interpolation system with an affine term for (n, dim)
-    control points and targets of the same shape; returns the warp, a
-    function of (N, dim) points.
-
-    A small diagonal ridge keeps the kernel block well conditioned; it
-    perturbs the interpolation by well under 1e-6 for our grids.
-    """
-    n, dim = control.shape
-    if np.unique(control, axis=0).shape[0] < n:
-        raise GroupAlignError("duplicate control points make the system singular")
-
-    kernel = _tps_kernel(cdist(control, control), dim)
-    kernel[np.diag_indices(n)] += TPS_RIDGE
-    poly = np.hstack([np.ones((n, 1)), control])
-    system = np.zeros((n + dim + 1, n + dim + 1))
-    system[:n, :n] = kernel
-    system[:n, n:] = poly
-    system[n:, :n] = poly.T
-    rhs = np.zeros((n + dim + 1, dim))
-    rhs[:n] = targets
-    try:
-        solution = np.linalg.solve(system, rhs)
-    except np.linalg.LinAlgError as exc:
-        raise GroupAlignError(f"TPS system could not be solved: {exc}") from exc
-    # The affine part is (dim + 1, dim); its first row is the offset.
-    kernel_weights, affine_part = solution[:n], solution[n:]
-
-    def warp(points: np.ndarray) -> np.ndarray:
-        basis = _tps_kernel(cdist(points, control), dim)
-        affine = np.hstack([np.ones((len(points), 1)), points])
-        return basis @ kernel_weights + affine @ affine_part
-
-    return warp
 
 
 def _control_grid(points: np.ndarray) -> np.ndarray:
@@ -101,7 +60,12 @@ def tps_deform(ps: PointSet, level: float, seed: int) -> PointSet:
     control = _control_grid(ps.points)
     rng = np.random.default_rng(int(seed))
     shifts = rng.normal(0.0, 2.0 * level, control.shape)
-    return PointSet(fit_tps(control, control + shifts)(ps.points))
+    kernel, smoothing = TPS_KERNELS[ps.dim]
+    # degree=1 is the affine term; SciPy's default for "linear" is 0.
+    warp = RBFInterpolator(
+        control, control + shifts, kernel=kernel, degree=1, smoothing=smoothing
+    )
+    return PointSet(warp(ps.points))
 
 
 def add_outlier_noise(ps: PointSet, level: float, seed: int) -> PointSet:

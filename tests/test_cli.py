@@ -78,7 +78,9 @@ class TestSynth:
     @pytest.mark.parametrize(
         "flags",
         [["--groups", "0"], ["--k", "1"],
-         ["--level", "-1"], ["--level", "nan"], ["--level", "inf"]],
+         ["--level", "-1"], ["--level", "nan"], ["--level", "inf"],
+         # Finite, but the control shifts overflow and so do the warped points.
+         ["--level", "1e308"], ["--level", "1e308", "--dim", "3", "--points", "64"]],
     )
     def test_bad_arguments_create_nothing(self, tmp_path, capsys, flags):
         out = tmp_path / "data"
@@ -86,7 +88,10 @@ class TestSynth:
         assert rc == 1
         err = capsys.readouterr().err
         assert err.startswith("error:")
-        assert flags[0] != "--level" or "deformation level" in err
+        if flags[:2] == ["--level", "1e308"]:
+            assert "points contain non-finite values" in err
+        elif flags[0] == "--level":
+            assert "deformation level" in err
         assert not out.exists()
 
     def test_dim_must_match_the_base_file(self, tmp_path, capsys):
@@ -773,6 +778,14 @@ class TestManifestValidation:
         err = self._run(tmp_path, capsys, {"dim": 2, "groups": groups}).err
         assert str(tmp_path / "data" / "manifest.json") in err
         assert "control character" in err
+
+    @pytest.mark.parametrize("command", ["align", "eval", "noise"])
+    def test_nul_in_member_name(self, tmp_path, capsys, command):
+        """No path can hold a NUL; the error names the manifest."""
+        group = {"id": "g", "members": ["../p.txt", "p\x00.txt"]}
+        err = self._run(tmp_path, capsys, {"dim": 2, "groups": [group]}, command).err
+        assert str(tmp_path / "data" / "manifest.json") in err
+        assert "NUL" in err
 
     def test_duplicate_group_ids(self, tmp_path, capsys):
         groups = [self._group("g"), self._group("g")]

@@ -36,6 +36,14 @@ def test_pointset_rejects_bad_shapes(bad):
         PointSet(bad)
 
 
+def test_pointset_rejects_zero_rows():
+    """An empty set has no centroid, scale or nearest neighbor, so it is
+    refused where it is built, before normalize, the loss or align see it."""
+    for dim in (2, 3):
+        with pytest.raises(GroupAlignError, match="needs at least one point"):
+            PointSet(np.empty((0, dim)))
+
+
 def test_pointset_rejects_non_finite():
     with pytest.raises(NonFiniteError):
         PointSet([[1.0, np.nan]])
@@ -81,8 +89,6 @@ def test_normalize_idempotent():
 
 
 def test_normalize_errors():
-    with pytest.raises(GroupAlignError, match="empty point set"):
-        normalize(PointSet(np.empty((0, 2))))
     with pytest.raises(GroupAlignError, match="all points coincide"):
         normalize(PointSet([[1.0, 1.0], [1.0, 1.0], [1.0, 1.0]]))
 

@@ -572,15 +572,6 @@ def test_input_validation(small_groups):
         align([a, g3], OptimConfig(**SMALL))
 
 
-def test_empty_member_rejected(small_groups):
-    a, _ = small_groups
-    empty = Group((PointSet(np.zeros((0, 2))), PointSet(np.ones((3, 2)))), "hollow")
-    with pytest.raises(GroupAlignError, match="'hollow' has an empty member"):
-        align([a, empty], OptimConfig(**SMALL))
-    with pytest.raises(GroupAlignError, match="'hollow' has an empty member"):
-        align([empty], OptimConfig(**SMALL))
-
-
 def test_wall_seconds_is_the_time_of_the_scope(small_groups):
     """Every group gets the time of the one joint run, not a share of it."""
     cfg = OptimConfig(**{**SMALL, "max_steps": 20})

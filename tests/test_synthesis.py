@@ -12,7 +12,6 @@ from groupalign.synthesis import (
     _control_grid,
     add_gaussian_displacement,
     add_outlier_noise,
-    fit_tps,
     make_group,
     remove_patch,
     tps_deform,
@@ -26,27 +25,28 @@ def fish():
     return fish_shape()
 
 
+def _assert_moves_grid_by_its_shifts(grid, level, seed):
+    """A control grid is its own control grid, so the warp must carry each
+    grid point onto its target: the point plus its Gaussian shift."""
+    shifts = np.random.default_rng(seed).normal(0.0, 2.0 * level, grid.shape)
+    out = tps_deform(PointSet(grid), level, seed).points
+    np.testing.assert_allclose(out, grid + shifts, rtol=0, atol=1e-6)
+
+
 class TestTps:
     def test_level_zero_is_identity(self, fish):
         out = tps_deform(fish, 0.0, seed=1)
         np.testing.assert_allclose(out.points, fish.points, atol=1e-9)
+        blob = PointSet(np.random.default_rng(0).normal(size=(50, 3)))
+        out = tps_deform(blob, 0.0, seed=1)
+        np.testing.assert_allclose(out.points, blob.points, atol=1e-9)
 
-    def test_interpolates_control_displacements(self):
-        rng = np.random.default_rng(2)
-        control = rng.uniform(-1, 1, (12, 2))
-        targets = control + rng.normal(0, 0.3, control.shape)
-        np.testing.assert_allclose(fit_tps(control, targets)(control), targets, atol=1e-6)
+    def test_interpolates_control_displacements(self, fish):
+        _assert_moves_grid_by_its_shifts(_control_grid(fish.points), 0.3, seed=2)
 
     def test_interpolates_in_3d(self):
-        rng = np.random.default_rng(3)
-        control = rng.uniform(-1, 1, (20, 3))
-        targets = control + rng.normal(0, 0.2, control.shape)
-        np.testing.assert_allclose(fit_tps(control, targets)(control), targets, atol=1e-6)
-
-    def test_duplicate_controls_rejected(self):
-        control = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 0.0], [0.0, 1.0]])
-        with pytest.raises(GroupAlignError, match="duplicate control points"):
-            fit_tps(control, control)
+        blob = np.random.default_rng(0).normal(size=(50, 3))
+        _assert_moves_grid_by_its_shifts(_control_grid(blob), 0.2, seed=3)
 
     def test_deform_deterministic(self, fish):
         a = tps_deform(fish, 0.4, seed=9)
