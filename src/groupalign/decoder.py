@@ -2,8 +2,8 @@
 
 Each point's drift is decoded from [coordinates, group latent]. Layer 0 is
 affine, so the latent acts as one bias per group, W0[:, dim:] @ z + b0, and
-the concatenated rows are never built. Hidden layers use ReLU; the final
-layer is affine so drifts can take either sign. Gradients reach the
+the concatenated rows are never built. One or more hidden layers use ReLU;
+the final layer is affine so drifts can take either sign. Gradients reach the
 weights, biases and latents, but not the input coordinates.
 Both passes run in blocks of at most BLOCK_ROWS rows of one segment, through
 one workspace of block-sized buffers that the caller can reuse for every
@@ -56,7 +56,7 @@ def _run_block(layers, coords, segment_bias, acts, out=None):
     """One block's pass through the buffers ``acts``, one per hidden layer,
     with biases and ReLUs applied in place. The output layer writes ``out``;
     without it the pass stops after the last hidden layer's ReLU."""
-    h = acts[0] if acts else out
+    h = acts[0]
     np.matmul(coords, layers[0][0][:, : coords.shape[1]].T, out=h)
     h += segment_bias
     for (weight, bias), nxt in zip(layers[1:], [*acts[1:], out]):
@@ -130,7 +130,7 @@ def run_layers_backward(
     blocks = list(_blocks(starts, coords.shape[0]))
     for n, (s, lo, hi) in enumerate(reversed(blocks)):
         acts = [buf[: hi - lo] for buf in workspace]
-        if n and acts:
+        if n:
             _run_block(layers, coords[lo:hi], segment_bias[s], acts)
         grad = upstream[lo:hi]
         for i in range(len(layers) - 1, 0, -1):

@@ -70,10 +70,6 @@ class Group:
     def dim(self) -> int:
         return self.members[0].dim
 
-    @property
-    def k(self) -> int:
-        return len(self.members)
-
 
 def normalize(ps: PointSet) -> PointSet:
     """Center a point set at its centroid and scale it into the unit ball.

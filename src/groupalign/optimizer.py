@@ -79,6 +79,11 @@ def _check_kind(name: str, value, kind: type, wording: str) -> None:
         raise GroupAlignError(f"{name} must be finite, got {value!r}")
 
 
+# The smallest value each numeric setting may take.
+_MINIMUM = {"max_steps": 1, "lr_decay_steps": 1, "reg_lambda": 0.0, "latent_dim": 1,
+            "seed": 0, "convergence_rel_tol": 0.0, "convergence_window": 1, "workers": 1}
+
+
 @dataclass
 class OptimConfig:
     """Optimization settings; defaults reproduce the standard runs."""
@@ -108,28 +113,16 @@ class OptimConfig:
         for h in hidden:
             _check_kind("hidden widths", h, *_FIELD_KINDS["int"])
         self.hidden = tuple(int(h) for h in hidden)
-        if self.max_steps < 1:
-            raise GroupAlignError(f"max_steps must be >= 1, got {self.max_steps}")
+        for name, low in _MINIMUM.items():
+            value = getattr(self, name)
+            if value < low:
+                raise GroupAlignError(f"{name} must be >= {low:g}, got {value}")
         if not (self.lr_start >= self.lr_end > 0.0):
             raise GroupAlignError(
                 f"need lr_start >= lr_end > 0, got {self.lr_start}, {self.lr_end}"
             )
-        if self.lr_decay_steps < 1:
-            raise GroupAlignError(
-                f"lr_decay_steps must be >= 1, got {self.lr_decay_steps}"
-            )
-        if self.reg_lambda < 0.0:
-            raise GroupAlignError(f"reg_lambda must be >= 0, got {self.reg_lambda}")
-        if self.latent_dim < 1:
-            raise GroupAlignError(f"latent_dim must be >= 1, got {self.latent_dim}")
         if not self.hidden or any(h < 1 for h in self.hidden):
             raise GroupAlignError(f"hidden widths must be positive, got {self.hidden}")
-        if self.seed < 0:
-            raise GroupAlignError(f"seed must be >= 0, got {self.seed}")
-        if self.convergence_rel_tol < 0.0 or self.convergence_window < 1:
-            raise GroupAlignError("convergence settings out of range")
-        if self.workers < 1:
-            raise GroupAlignError(f"workers must be >= 1, got {self.workers}")
 
 
 def lr_at(step: int, cfg: OptimConfig) -> float:

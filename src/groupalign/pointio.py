@@ -66,10 +66,8 @@ def read_point_set(path: str | Path) -> PointSet:
 
 def write_point_set(ps: PointSet, path: str | Path) -> None:
     """Write one point per line with round-trip-exact precision."""
-    path = Path(path)
     with open(path, "w", encoding="utf-8") as fh:
-        for row in ps.points:
-            fh.write(" ".join(f"{v:.17g}" for v in row) + "\n")
+        np.savetxt(fh, ps.points, fmt="%.17g")
 
 
 @dataclass
@@ -235,11 +233,10 @@ class RunReport:
 
 def write_loss_trace(trace: np.ndarray, path: str | Path) -> None:
     """CSV with one (step, alignment, regularizer, total) row per step."""
-    trace = np.asarray(trace)
+    trace = np.reshape(trace, (-1, 3))
+    rows = np.column_stack([np.arange(len(trace)), trace])
+    # CRLF rows, as csv writes them; a handle, so NumPy never gzips a ".gz" path.
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["step", "alignment", "regularizer", "total"])
-        for step, (alignment, regularizer, total) in enumerate(trace):
-            writer.writerow(
-                [step, f"{alignment:.17g}", f"{regularizer:.17g}", f"{total:.17g}"]
-            )
+        np.savetxt(fh, rows, fmt=["%d"] + ["%.17g"] * 3, delimiter=",",
+                   newline="\r\n", header="step,alignment,regularizer,total",
+                   comments="")

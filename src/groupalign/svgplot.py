@@ -37,22 +37,17 @@ RADIUS_FRACTION = 0.008
 
 
 def render_svg(sets: Sequence[PointSet], path: str | Path) -> None:
-    """Write an overlay of the given 2D sets, one palette color per set.
+    """Write an overlay of one or more 2D sets, one palette color per set.
 
     The viewBox fits all points with a 5% margin and every circle has the
-    same radius. An empty sequence produces a valid SVG with no circles.
+    same radius.
     """
     for s in sets:
         if s.dim != 2:
             raise GroupAlignError("SVG rendering works on 2D point sets only")
 
-    if sets:
-        stacked = np.vstack([s.points for s in sets])
-        lo = stacked.min(axis=0)
-        hi = stacked.max(axis=0)
-    else:
-        lo = np.zeros(2)
-        hi = np.ones(2)
+    stacked = np.vstack([s.points for s in sets])
+    lo, hi = stacked.min(axis=0), stacked.max(axis=0)
     extent = float(max((hi - lo).max(), 1e-9))
     margin = MARGIN_FRACTION * extent
     radius = RADIUS_FRACTION * extent

@@ -16,7 +16,9 @@ import oracle
 from groupalign.cli import main
 from groupalign.decoder import forward, init_params
 from groupalign.geometry import Group, PointSet, init_gld
-from groupalign.loss import _nearest, alignment_terms, drift_penalty, groupwise_chamfer
+from groupalign.loss import (
+    _nearest, alignment_terms, drift_penalty, groupwise_chamfer, normalized_cd,
+)
 from groupalign.optimizer import OptimConfig, _objective, align
 from groupalign.pointio import read_manifest
 from groupalign.shapes import blob_shape, fish_shape
@@ -350,4 +352,28 @@ def test_c12_cli_runs_are_bit_reproducible(fish_cli_run, tmp_path):
         "reproducibility",
         same,
         "report, trace, and aligned members identical apart from wall time",
+    )
+
+
+@pytest.mark.slow
+def test_c13_members_meet_near_the_base_shape():
+    """The paper's "middle, common position", with no member as the target.
+    make_group warps the base with zero-mean control shifts, so the base is
+    the group's mean shape. Per seed, the median over members of
+    normalized_cd([member, base]) at least halves under the stock settings.
+    Points may slide along the contour, so no index correspondence is
+    asserted."""
+    fish = fish_shape()
+    ratios = []
+    for seed in range(1, 5):
+        group = make_group(fish, 7, 0.8, seed)
+        aligned = align([group]).groups[0].transformed
+        before = np.median([normalized_cd([m, fish]) for m in group.members])
+        after = np.median([normalized_cd([m, fish]) for m in aligned])
+        ratios.append(after / before)
+    _verdict(
+        "common position",
+        max(ratios) <= 0.5,
+        "aligned / input median distance to the base "
+        + ", ".join(f"{r:.2f}" for r in ratios),
     )

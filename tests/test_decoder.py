@@ -111,10 +111,16 @@ class TestHandComputedCore:
 
 
 def test_public_forward_hand_case():
-    """Single affine layer: drift = W [x, y, z] + b, latent appended last."""
-    layers = ((np.array([[1.0, 0.0, 1.0], [0.0, 1.0, -1.0]]), np.array([0.1, -0.1])),)
-    drifts = forward(layers, np.array([[0.5, -0.25]]), np.array([[2.0]]), [0])
-    np.testing.assert_allclose(drifts, [[2.6, -2.35]], atol=1e-15)
+    """One hidden ReLU layer: drift = W1 relu(W0 [x, y, z1, z2] + b0) + b1,
+    the latent entering as the last input columns. Hidden unit 0 reads
+    2.6 and unit 1 reads -0.75, so its ReLU is 0; with the latent first,
+    unit 0 would read 2.1."""
+    layers = (
+        (np.array([[1.0, 0.0, 2.0, 0.0], [0.0, 1.0, -1.0, 1.0]]), np.array([0.1, -0.5])),
+        (np.array([[1.0, 3.0], [-0.5, 2.0]]), np.array([0.0, 0.1])),
+    )
+    drifts = forward(layers, np.array([[0.5, 0.25]]), np.array([[1.0, 0.5]]), [0])
+    np.testing.assert_allclose(drifts, [[2.6, -1.2]], atol=1e-15)
 
 
 def test_backward_linear_in_upstream():

@@ -55,7 +55,7 @@ def test_group_validation():
     a = PointSet([[0.0, 0.0], [1.0, 0.0]])
     b = PointSet([[0.0, 1.0]])
     g = Group((a, b), "pair")
-    assert g.k == 2
+    assert len(g.members) == 2
     assert g.dim == 2
     assert g.group_id == "pair"
     with pytest.raises(GroupAlignError, match="at least 2 members, got 1"):

@@ -179,6 +179,24 @@ class TestConfig:
         with pytest.raises(GroupAlignError):
             OptimConfig(**kwargs)
 
+    @pytest.mark.parametrize(
+        "name, value",
+        [
+            ("max_steps", 0),
+            ("lr_decay_steps", 0),
+            ("reg_lambda", -0.1),
+            ("latent_dim", 0),
+            ("seed", -1),
+            ("convergence_rel_tol", -1.0),
+            ("convergence_window", 0),
+            ("workers", 0),
+        ],
+    )
+    def test_bound_message_names_its_field(self, name, value):
+        with pytest.raises(GroupAlignError) as exc:
+            OptimConfig(**{name: value})
+        assert str(exc.value).startswith(f"{name} must be >= ")
+
     def test_numeric_kinds_are_accepted(self):
         cfg = OptimConfig(
             max_steps=np.int64(3), lr_start=1, lr_end=np.float64(0.5),
@@ -247,7 +265,7 @@ def test_results_are_read_only_arrays_of_the_drifted_members(small_groups):
         assert ga.latent.shape == (cfg.latent_dim,)
         with pytest.raises(ValueError):
             ga.latent[0] = 0.0
-        assert len(ga.drifts) == len(ga.transformed) == g.k
+        assert len(ga.drifts) == len(ga.transformed) == len(g.members)
         for m, d, t in zip(g.members, ga.drifts, ga.transformed):
             assert d.shape == m.points.shape
             with pytest.raises(ValueError):

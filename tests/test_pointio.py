@@ -145,7 +145,7 @@ class TestManifest:
         write_manifest(GroupManifest(2, [ManifestGroup("g0", members)]), mp)
         groups = load_groups(read_manifest(mp))
         assert len(groups) == 1
-        assert groups[0].k == 3
+        assert len(groups[0].members) == 3
         assert groups[0].group_id == "g0"
 
     def test_load_groups_dim_mismatch(self, tmp_path):
@@ -275,3 +275,72 @@ def test_loss_trace_csv(tmp_path):
     assert [r[0] for r in rows[1:]] == ["0", "1"]
     back = np.array([[float(v) for v in r[1:]] for r in rows[1:]])
     np.testing.assert_array_equal(back, trace)
+
+
+def _row_loop_point_set(ps, path):
+    """The per-row writer that ``np.savetxt`` replaced, kept as the
+    reference for ``write_point_set``'s bytes."""
+    with open(path, "w", encoding="utf-8") as fh:
+        for row in ps.points:
+            fh.write(" ".join(f"{v:.17g}" for v in row) + "\n")
+
+
+def _row_loop_loss_trace(trace, path):
+    """The csv-module writer that ``np.savetxt`` replaced, kept as the
+    reference for ``write_loss_trace``'s bytes."""
+    trace = np.asarray(trace)
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["step", "alignment", "regularizer", "total"])
+        for step, (alignment, regularizer, total) in enumerate(trace):
+            writer.writerow(
+                [step, f"{alignment:.17g}", f"{regularizer:.17g}", f"{total:.17g}"]
+            )
+
+
+# Signed zero, the smallest subnormal, and magnitudes near the top of float64.
+EDGE_VALUES = [-0.0, 5e-324, 1e300, -1e300, math.pi, -1.0 / 3.0]
+
+
+class TestWriterBytes:
+    """The NumPy writers give the bytes of the loops they replaced."""
+
+    @pytest.mark.parametrize(
+        "points",
+        [
+            np.reshape(EDGE_VALUES, (3, 2)),
+            np.reshape(EDGE_VALUES, (2, 3)),
+            np.concatenate([
+                np.reshape(EDGE_VALUES, (3, 2)),
+                np.random.default_rng(47).normal(size=(40, 2))
+                * 10.0 ** np.random.default_rng(48).integers(-300, 300, (40, 1)),
+            ]),
+            np.array([[-0.0, 5e-324]]),
+            np.array([[1e300, -1e300, -0.0]]),
+        ],
+        ids=["2d", "3d", "2d-random", "1-row-2d", "1-row-3d"],
+    )
+    def test_point_file(self, tmp_path, points):
+        ps = PointSet(points)
+        _row_loop_point_set(ps, tmp_path / "ref.txt")
+        # A ".gz" name changes nothing: the writer hands NumPy an open file.
+        for name in ("new.txt", "new.txt.gz"):
+            write_point_set(ps, tmp_path / name)
+            assert (tmp_path / name).read_bytes() == (tmp_path / "ref.txt").read_bytes()
+
+    @pytest.mark.parametrize(
+        "trace",
+        [
+            np.concatenate([
+                np.reshape(EDGE_VALUES * 2, (4, 3)),
+                np.random.default_rng(49).lognormal(0.0, 20.0, (33, 3)),
+            ]),
+            [],
+        ],
+        ids=["37-rows", "header-only"],
+    )
+    def test_loss_trace(self, tmp_path, trace):
+        _row_loop_loss_trace(trace, tmp_path / "ref.csv")
+        for name in ("new.csv", "new.csv.gz"):
+            write_loss_trace(trace, tmp_path / name)
+            assert (tmp_path / name).read_bytes() == (tmp_path / "ref.csv").read_bytes()

@@ -36,14 +36,6 @@ def test_one_color_per_set(tmp_path):
     assert len(set(fills)) == 7
 
 
-def test_no_sets_is_still_valid_svg(tmp_path):
-    out = tmp_path / "empty.svg"
-    render_svg([], out)
-    root, circles = _circles(out)
-    assert circles == []
-    assert root.get("viewBox") is not None
-
-
 def test_rejects_3d(tmp_path):
     with pytest.raises(GroupAlignError, match="2D point sets only"):
         render_svg([PointSet([[0.0, 0.0, 0.0]])], tmp_path / "x.svg")

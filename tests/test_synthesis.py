@@ -244,7 +244,7 @@ class TestMakeGroup:
 
     def test_members_differ_at_positive_level(self, fish):
         g = make_group(fish, 4, 0.4, seed=2, group_id="warped")
-        assert g.k == 4
+        assert len(g.members) == 4
         assert g.group_id == "warped"
         for i in range(4):
             for j in range(i + 1, 4):
