@@ -7,6 +7,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import os
 import sys
 from itertools import chain
@@ -206,7 +207,7 @@ def _cmd_align(args) -> int:
             d.rmdir()  # nothing is written into them before align returns
         raise
 
-    RunReport(result.groups).write_csv(report_path)
+    RunReport(result).write_csv(report_path)
     write_loss_trace(result.loss_trace, trace_path)
     _write_groups([(ga.group_id, ga.transformed) for ga in result.groups], member_paths,
                   manifest.dim, {"aligned": True}, manifest_path)
@@ -221,7 +222,7 @@ def _cmd_align(args) -> int:
         initial, final = ga.initial_normalized_cd, ga.final_normalized_cd
         drop = 100.0 * (1.0 - final / initial) if initial > 0 else 0.0
         print(f"{ga.group_id}: {initial:.6g} -> {final:.6g} "
-              f"({drop:.1f}% reduction, {ga.steps_run} steps)")
+              f"({drop:.1f}% reduction, {result.steps_run} steps)")
     print(f"report: {report_path}")
     return 0
 
@@ -246,6 +247,7 @@ def _cmd_plot(args) -> int:
     return 0
 
 
+@functools.cache  # one per process: an argparse tree is cyclic garbage once dropped
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="groupalign",

@@ -24,7 +24,7 @@ def groupwise_chamfer(sets: Sequence[PointSet]) -> float:
 
     The sets are a group's members: at least two, non-empty, of one
     dimensionality, as ``Group`` and ``PointSet`` check."""
-    return alignment_terms([s.points for s in sets])[0]
+    return alignment_terms([s.points for s in sets])
 
 
 def _per_pair_point(total: float, sets: Sequence) -> float:
@@ -63,9 +63,9 @@ def _nearest(target: np.ndarray, queries: np.ndarray) -> tuple[np.ndarray, np.nd
 @np.errstate(over="ignore", invalid="ignore")
 def alignment_terms(
     arrays: Sequence[np.ndarray], out: np.ndarray | None = None
-) -> tuple[float, list[np.ndarray]]:
-    """Groupwise alignment value and its gradient per point array, as row
-    views of ``out`` (the stacked rows' shape, overwritten) when given.
+) -> float:
+    """Groupwise alignment value; its gradient overwrites ``out``, which has
+    the stacked rows' shape (a new array when None), in the arrays' order.
 
     One KD-tree per target member answers the points of all other members
     in a single query. Each one-sided squared-distance sum enters the
@@ -88,7 +88,7 @@ def alignment_terms(
         # One bincount per coordinate scatters the rows onto the target.
         for c in range(out.shape[1]):
             out[lo:hi, c] -= np.bincount(idx, weights=diff[:, c], minlength=hi - lo)
-    return total, np.split(out, bounds[1:-1])
+    return total
 
 
 @np.errstate(over="ignore", invalid="ignore")
@@ -107,7 +107,7 @@ def regularized_loss(
     drift norms. The caller passes checked values: at least two non-empty
     point arrays of one dimensionality, each with a drift array of its
     shape, and reg_lambda >= 0."""
-    alignment = alignment_terms([a + d for a, d in zip(arrays, drifts)])[0]
+    alignment = alignment_terms([a + d for a, d in zip(arrays, drifts)])
     regularizer = float(sum(drift_penalty(d)[0] for d in drifts))
     return LossBreakdown(
         alignment=alignment,

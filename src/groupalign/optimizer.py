@@ -14,7 +14,8 @@ import numbers
 import sys
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, fields, replace
+from contextlib import nullcontext
+from dataclasses import dataclass, fields
 from itertools import chain
 from typing import Callable, Sequence
 
@@ -156,21 +157,21 @@ class GroupAlignment:
     initial_normalized_cd: float
     final_normalized_cd: float
     final_loss: losses.LossBreakdown
-    steps_run: int
-    wall_seconds: float = 0.0  # wall time of the whole joint run
 
 
 @dataclass(frozen=True, eq=False)
 class AlignmentResult:
     """Outcome of one align() call: the groups' outcomes, the shared
-    decoder, one (alignment, regularizer, total) loss row per step, and
-    whether the convergence test stopped the run before ``max_steps``."""
+    decoder, one (alignment, regularizer, total) loss row per step, whether
+    the convergence test stopped the run before ``max_steps``, and the wall
+    time of the whole joint run."""
 
     groups: tuple[GroupAlignment, ...]
     decoder_params: dec.DecoderParams
     loss_trace: np.ndarray
     steps_run: int
     converged_early: bool
+    wall_seconds: float
 
 
 def _objective(
@@ -180,19 +181,20 @@ def _objective(
     starts: Sequence[int],
     groups_members: Sequence[Sequence[slice]],
     reg_lambda: float,
-    map_groups: Callable = map,
-    workspace: list[np.ndarray] | None = None,
+    map_groups: Callable,
+    workspace: list[np.ndarray],
 ) -> tuple[float, float, list[dec.Layer], np.ndarray]:
     """The regularized loss over one row layout and its gradients.
 
     Rows from starts[s] up to the next start decode with latents[s]. Each
-    entry of groups_members holds one loss group's contiguous member slices.
+    entry of groups_members holds one loss group's contiguous member slices,
+    and ``map_groups`` maps the loss over them (``map`` or a pool's).
     ``workspace`` is the decoder's, as ``dec.run_layers`` takes it.
     Returns the alignment and penalty totals, each layer's (dW, db) and one
     gradient row per latent; raises NonFiniteError on non-finite drifts,
     loss or gradients.
     """
-    drifts, workspace = dec.run_layers(layers, x_all, latents, starts, workspace)
+    drifts = dec.run_layers(layers, x_all, latents, starts, workspace)
     if not np.isfinite(drifts).all():
         raise NonFiniteError("drifts became non-finite")
 
@@ -204,7 +206,7 @@ def _objective(
         reg_val, reg_grad = losses.drift_penalty(drifts[rows])
         drifted = x_all[rows] + drifts[rows]
         views = np.split(drifted, [s.stop - rows.start for s in members[:-1]])
-        align_val = losses.alignment_terms(views, out=drifts[rows])[0]
+        align_val = losses.alignment_terms(views, out=drifts[rows])
         drifts[rows] += np.multiply(reg_grad, reg_lambda, out=reg_grad)
         return align_val, reg_val
 
@@ -267,15 +269,13 @@ def align(groups: Sequence[Group], cfg: OptimConfig | None = None) -> AlignmentR
     variables = [*chain.from_iterable(layers), *latents]
     moments = [(np.zeros_like(x), np.zeros_like(x)) for x in variables]
 
-    workers = min(cfg.workers, len(groups))
-    pool = ThreadPoolExecutor(workers) if workers > 1 else None
-    map_groups = map if pool is None else pool.map
-
     workspace: list[np.ndarray] = []  # the decoder's, filled by its first pass
     trace_rows: list[tuple[float, float, float]] = []
     window = cfg.convergence_window + 1  # the losses converged() reads
     early = False
-    try:
+    workers = min(cfg.workers, len(groups))
+    with ThreadPoolExecutor(workers) if workers > 1 else nullcontext() as pool:
+        map_groups = map if pool is None else pool.map
         for step in range(cfg.max_steps):
             try:
                 align_total, reg_total, d_layers, d_latents = _objective(
@@ -294,7 +294,7 @@ def align(groups: Sequence[Group], cfg: OptimConfig | None = None) -> AlignmentR
             del d_layers, d_latents, gradients, grad, m, v  # free before the next step
 
             if converged([r[2] for r in trace_rows[-window:]], cfg):
-                early = True
+                early = step + 1 < cfg.max_steps  # not early on the last step
                 break
 
         # Finalize on the same row layout: one batched decode, then each
@@ -322,19 +322,15 @@ def align(groups: Sequence[Group], cfg: OptimConfig | None = None) -> AlignmentR
                 initial_normalized_cd=losses.normalized_cd(g.members),
                 final_normalized_cd=breakdown.normalized_cd,
                 final_loss=breakdown,
-                steps_run=len(trace_rows),
             )
 
-        results = list(map_groups(finalize, range(len(groups))))
-    finally:
-        if pool is not None:
-            pool.shutdown()
+        results = tuple(map_groups(finalize, range(len(groups))))
 
-    wall = time.perf_counter() - start_time
     return AlignmentResult(
-        groups=tuple(replace(r, wall_seconds=wall) for r in results),
+        groups=results,
         decoder_params=dec.DecoderParams(tuple(layers)),
         loss_trace=loss_trace,
         steps_run=len(trace_rows),
         converged_early=early,
+        wall_seconds=time.perf_counter() - start_time,
     )

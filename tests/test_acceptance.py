@@ -70,7 +70,7 @@ def test_c01_analytic_gradients_match_finite_differences():
         starts = [seg.start for seg in segments]
         coords = np.vstack([s.points for s in sets])
         latents = np.stack(zs)
-        drifts = forward(layers, coords, latents, starts)
+        drifts = forward(layers, coords, latents, starts, [])
         moved = coords + drifts
         if oracle.nn_margin([moved[seg] for seg in segments]) < 3e-3:
             continue
@@ -82,7 +82,7 @@ def test_c01_analytic_gradients_match_finite_differences():
         # One latent segment per member, and the three members in one
         # loss group.
         _, _, d_layers, d_latents = _objective(
-            layers, latents, coords, starts, [segments], lam
+            layers, latents, coords, starts, [segments], lam, map, []
         )
         acc = [a for pair in d_layers for a in pair]
         z_grads = list(d_latents)

@@ -55,7 +55,7 @@ def test_zero_params_give_zero_drift():
         (np.zeros((2, 4)), np.zeros(2)),
     )
     coords = np.random.default_rng(0).normal(size=(6, 2))
-    drifts = forward(layers, coords, np.ones((1, 3)), [0])
+    drifts = forward(layers, coords, np.ones((1, 3)), [0], [])
     np.testing.assert_array_equal(drifts, 0.0)
 
 
@@ -72,7 +72,9 @@ class TestHandComputedCore:
     coords = np.array([[0.3]])
 
     def _run(self, latent):
-        return run_layers(self.layers, self.coords, np.array([[latent]]), [0])
+        workspace = []
+        out = run_layers(self.layers, self.coords, np.array([[latent]]), [0], workspace)
+        return out, workspace
 
     def _backward(self, latent):
         _, workspace = self._run(latent)
@@ -119,7 +121,7 @@ def test_public_forward_hand_case():
         (np.array([[1.0, 0.0, 2.0, 0.0], [0.0, 1.0, -1.0, 1.0]]), np.array([0.1, -0.5])),
         (np.array([[1.0, 3.0], [-0.5, 2.0]]), np.array([0.0, 0.1])),
     )
-    drifts = forward(layers, np.array([[0.5, 0.25]]), np.array([[1.0, 0.5]]), [0])
+    drifts = forward(layers, np.array([[0.5, 0.25]]), np.array([[1.0, 0.5]]), [0], [])
     np.testing.assert_allclose(drifts, [[2.6, -1.2]], atol=1e-15)
 
 
@@ -129,7 +131,8 @@ def test_backward_linear_in_upstream():
     pts = np.random.default_rng(11).normal(size=(5, 2))
     up = np.random.default_rng(12).normal(size=(5, 2))
     latents = z_vals[None, :]
-    _, workspace = run_layers(layers, pts, latents, [0])
+    workspace = []
+    run_layers(layers, pts, latents, [0], workspace)
     layers1, latent1 = run_layers_backward(layers, pts, up, latents, [0], workspace)
     run_layers(layers, pts, latents, [0], workspace)  # backward overwrote it
     layers2, latent2 = run_layers_backward(
@@ -146,7 +149,8 @@ def test_one_workspace_serves_pass_after_pass():
     latents and upstream the second time, equal two passes through fresh
     workspaces bit for bit. Segments of 2500 rows end in 452-row blocks,
     so the workspace's BLOCK_ROWS-row buffers are also used in part. The
-    workspace is filled once and keeps its buffers."""
+    workspace is filled once and keeps its buffers, and the drifts come back
+    in a new array."""
     rng = np.random.default_rng(18)
     layers = init_params(3, 4, (6, 5), seed=17)
     coords = rng.normal(size=(5000, 3))
@@ -155,10 +159,12 @@ def test_one_workspace_serves_pass_after_pass():
         (rng.normal(0, 0.5, (2, 4)), rng.normal(size=coords.shape)) for _ in range(2)
     ]
     workspace = []
+    buffers = None
     for latents, upstream in inputs:
-        out, returned = run_layers(layers, coords, latents, starts, workspace)
-        assert returned is workspace
-        buffers = [id(buf) for buf in workspace]
+        out = run_layers(layers, coords, latents, starts, workspace)
+        assert not any(np.shares_memory(out, buf) for buf in workspace)
+        buffers = buffers or [id(buf) for buf in workspace]
+        assert [id(buf) for buf in workspace] == buffers
         assert [buf.shape for buf in workspace] == [
             (decoder.BLOCK_ROWS, 6), (decoder.BLOCK_ROWS, 5)
         ]
@@ -185,7 +191,8 @@ def test_layer0_weight_gradient_is_the_old_hstack():
     latents = rng.normal(0, 0.5, (2, 5))
     upstream = rng.normal(size=coords.shape)
     starts = [0, 30]
-    _, workspace = run_layers(layers, coords, latents, starts)
+    workspace = []
+    run_layers(layers, coords, latents, starts, workspace)
     (d_weight0, _), *_ = run_layers_backward(
         layers, coords, upstream, latents, starts, workspace
     )[0]
@@ -195,7 +202,7 @@ def test_layer0_weight_gradient_is_the_old_hstack():
     for s, rows in reversed(list(enumerate([slice(0, 30), slice(30, 50)]))):
         masked = np.zeros_like(upstream)
         masked[rows] = upstream[rows]
-        _, workspace = run_layers(layers, coords, latents, starts)
+        run_layers(layers, coords, latents, starts, workspace)
         (part, seg_row), *_ = run_layers_backward(
             layers, coords, masked, latents, starts, workspace
         )[0]
@@ -212,10 +219,10 @@ def test_forward_rows_are_independent():
     z = np.random.default_rng(14).normal(0, 0.1, (1, 5))
     pts = np.random.default_rng(15).normal(size=(8, 2))
     perm = np.random.default_rng(16).permutation(8)
-    direct = forward(layers, pts, z, [0])
-    permuted = forward(layers, pts[perm], z, [0])
+    direct = forward(layers, pts, z, [0], [])
+    permuted = forward(layers, pts[perm], z, [0], [])
     np.testing.assert_array_equal(permuted, direct[perm])
-    duplicated = forward(layers, np.vstack([pts[:1], pts[:1]]), z, [0])
+    duplicated = forward(layers, np.vstack([pts[:1], pts[:1]]), z, [0], [])
     np.testing.assert_array_equal(duplicated[0], duplicated[1])
 
 
@@ -247,13 +254,14 @@ def test_gradients_match_finite_differences():
         if _min_hidden_preactivation(layers, inputs) < 1e-3:
             continue
 
-        _, workspace = run_layers(layers, pts, z_vals[None, :], [0])
+        workspace = []
+        run_layers(layers, pts, z_vals[None, :], [0], workspace)
         d_layers, d_latents = run_layers_backward(
             layers, pts, upstream, z_vals[None, :], [0], workspace
         )
 
         def objective(layers, latent):
-            out, _ = run_layers(layers, pts, latent[None, :], [0])
+            out = run_layers(layers, pts, latent[None, :], [0], [])
             return float((upstream * out).sum())
 
         h = 1e-6
@@ -316,7 +324,8 @@ def test_segments_of_unequal_length_match_concatenated_rows():
     upstream = rng.normal(size=(9, 3))
     starts = [0, 3, 4]
 
-    out, workspace = run_layers(layers, coords, latents, starts)
+    workspace = []
+    out = run_layers(layers, coords, latents, starts, workspace)
     d_layers, d_latents = run_layers_backward(
         layers, coords, upstream, latents, starts, workspace
     )
@@ -334,7 +343,8 @@ def test_segments_of_unequal_length_match_concatenated_rows():
 def _pass(layers, coords, latents, starts, upstream):
     """One forward and backward pass through a fresh workspace: the drifts,
     then every dW and db and the latent gradients in one list."""
-    out, workspace = run_layers(layers, coords, latents, starts)
+    workspace = []
+    out = run_layers(layers, coords, latents, starts, workspace)
     d_layers, d_latents = run_layers_backward(
         layers, coords, upstream, latents, starts, workspace
     )
@@ -372,9 +382,9 @@ def test_whole_blocks_decode_bit_identically(monkeypatch):
     layers = init_params(3, 256, (128, 64), seed=26)
     coords = rng.normal(size=(6144 + 4096, 3))
     latents = rng.normal(0, 0.5, (2, 256))
-    split = run_layers(layers, coords, latents, [0, 6144])[0]
+    split = run_layers(layers, coords, latents, [0, 6144], [])
     monkeypatch.setattr(decoder, "BLOCK_ROWS", 10**6)
-    whole = run_layers(layers, coords, latents, [0, 6144])[0]
+    whole = run_layers(layers, coords, latents, [0, 6144], [])
     np.testing.assert_array_equal(split, whole)
 
 

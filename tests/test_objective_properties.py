@@ -93,7 +93,7 @@ def _check_gradients(layout):
             row += n
     x_all = np.vstack([pts for members in groups for pts in members])
 
-    drifts = forward(layers, x_all, latents, starts)
+    drifts = forward(layers, x_all, latents, starts, [])
     moved = x_all + drifts
     assume(np.linalg.norm(drifts, axis=1).min() >= 3e-3)
     assume(min(oracle.nn_margin([moved[s] for s in m]) for m in groups_members) >= 3e-3)
@@ -107,7 +107,7 @@ def _check_gradients(layout):
     )
 
     align_total, reg_total, d_layers, d_latents = _objective(
-        layers, latents, x_all, starts, groups_members, LAM
+        layers, latents, x_all, starts, groups_members, LAM, map, []
     )
     value = _oracle_objective(net, latents, groups)
     assert abs(align_total + LAM * reg_total - value) <= 1e-12 * value

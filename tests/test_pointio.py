@@ -7,7 +7,7 @@ import pytest
 
 from groupalign.errors import ParseError
 from groupalign.geometry import PointSet
-from groupalign.optimizer import GroupAlignment
+from groupalign.optimizer import AlignmentResult, GroupAlignment
 from groupalign.pointio import (
     REPORT_FIELDS,
     GroupManifest,
@@ -203,7 +203,7 @@ class TestManifest:
 
 class TestRunReport:
     @staticmethod
-    def _group(gid, k, initial, final, steps, wall):
+    def _group(gid, k, initial, final):
         members = tuple(PointSet(np.zeros((3, 2))) for _ in range(k))
         return GroupAlignment(
             group_id=gid,
@@ -213,22 +213,28 @@ class TestRunReport:
             initial_normalized_cd=initial,
             final_normalized_cd=final,
             final_loss=None,
-            steps_run=steps,
-            wall_seconds=wall,
         )
 
     @staticmethod
-    def _rows(groups, tmp_path):
+    def _rows(groups, tmp_path, steps=500, wall=12.5):
+        result = AlignmentResult(
+            groups=tuple(groups),
+            decoder_params=None,
+            loss_trace=np.zeros((steps, 3)),
+            steps_run=steps,
+            converged_early=False,
+            wall_seconds=wall,
+        )
         path = tmp_path / "report.csv"
-        RunReport(groups).write_csv(path)
+        RunReport(result).write_csv(path)
         with open(path, newline="") as fh:
             return list(csv.reader(fh))
 
     def _groups(self):
         return [
-            self._group("improved", 7, 0.02, 0.0005, 500, 12.5),
-            self._group("equal", 3, 0.04, 0.04, 480, 11.0),
-            self._group("worse", 2, 1.0 / 3.0, 0.5, 30, 0.25),
+            self._group("improved", 7, 0.02, 0.0005),
+            self._group("equal", 3, 0.04, 0.04),
+            self._group("worse", 2, 1.0 / 3.0, 0.5),
         ]
 
     def test_converged_flag(self, tmp_path):
@@ -239,8 +245,8 @@ class TestRunReport:
     def test_aggregates(self, tmp_path):
         rows = self._rows(
             [
-                self._group("g000", 7, 0.02, 0.0005, 500, 12.5),
-                self._group("g001", 7, 0.04, 0.0010, 480, 11.0),
+                self._group("g000", 7, 0.02, 0.0005),
+                self._group("g001", 7, 0.04, 0.0010),
             ],
             tmp_path,
         )
@@ -257,12 +263,15 @@ class TestRunReport:
         ]
         assert [r[0] for r in rows[1:]] == ["improved", "equal", "worse", "mean"]
         assert [r[1] for r in rows[1:4]] == ["7", "3", "2"]
-        assert [r[4] for r in rows[1:4]] == ["500", "480", "30"]
         # the CDs round-trip exactly, and the mean row is their mean
         assert float(rows[3][2]) == 1.0 / 3.0
         assert rows[4][1] == rows[4][4] == rows[4][5] == rows[4][6] == ""
         for col in (2, 3):
             assert float(rows[4][col]) == np.mean([float(r[col]) for r in rows[1:4]])
+
+    def test_every_group_row_has_the_runs_steps_and_wall_time(self, tmp_path):
+        rows = self._rows(self._groups(), tmp_path, steps=30, wall=0.25)
+        assert [r[4:6] for r in rows[1:4]] == [["30", "0.250000"]] * 3
 
 
 def test_loss_trace_csv(tmp_path):

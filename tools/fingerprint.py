@@ -78,7 +78,7 @@ def hashed_arrays(result) -> dict[str, np.ndarray]:
         loss = g.final_loss
         feed(prefix, initial_ncd=g.initial_normalized_cd, final_ncd=g.final_normalized_cd,
              alignment=loss.alignment, regularizer=loss.regularizer, total=loss.total,
-             loss_ncd=loss.normalized_cd, steps_run=g.steps_run)
+             loss_ncd=loss.normalized_cd, steps_run=result.steps_run)
     return out
 
 
